@@ -167,12 +167,18 @@ void si_cc_update(SuperInstructionContext& ctx) {
 void register_chem_superinstructions() {
   static std::once_flag once;
   std::call_once(once, [] {
+    constexpr sip::ArgAccess kR = sip::ArgAccess::kRead;
+    constexpr sip::ArgAccess kW = sip::ArgAccess::kWrite;
+    constexpr sip::ArgAccess kRW = sip::ArgAccess::kReadWrite;
     auto& registry = sip::SuperInstructionRegistry::global();
-    registry.register_instruction("compute_integrals", si_compute_integrals);
-    registry.register_instruction("compute_core_h", si_compute_core_h);
-    registry.register_instruction("compute_density", si_compute_density);
-    registry.register_instruction("mp2_block_energy", si_mp2_block_energy);
-    registry.register_instruction("cc_update", si_cc_update);
+    registry.register_instruction("compute_integrals", si_compute_integrals,
+                                  {kW});
+    registry.register_instruction("compute_core_h", si_compute_core_h, {kW});
+    registry.register_instruction("compute_density", si_compute_density,
+                                  {kW});
+    registry.register_instruction("mp2_block_energy", si_mp2_block_energy,
+                                  {kR, kR, kRW, kR});
+    registry.register_instruction("cc_update", si_cc_update, {kW, kR, kR});
 
     // Server-side on-demand integral generation for computed served
     // arrays (paper §V-B: I/O servers compute integral blocks instead of

@@ -32,10 +32,13 @@ void DataflowExecutor::enqueue(Entry entry) {
   std::unique_lock<std::mutex> lock(mutex_);
   SIA_CHECK(window_.size() < window_limit_,
             "instruction window overflow (caller must drain first)");
+  SIA_CHECK(!entry.run_inline || inline_ == nullptr,
+            "inline entry enqueued while another waits to run");
   auto node_ptr = std::make_unique<Node>();
   Node* node = node_ptr.get();
   node->entry = std::move(entry);
   node->seq = next_seq_++;
+  if (node->entry.run_inline) inline_ = node;
 
   stats_.occupancy_sum += static_cast<std::int64_t>(window_.size());
   ++stats_.occupancy_samples;
@@ -111,8 +114,38 @@ void DataflowExecutor::make_ready_locked(Node* node) {
     return;
   }
   node->state = State::kReady;
+  if (node->entry.run_inline) return;  // waits for run_inline
   ready_.push_back(node);
   pool_cv_.notify_one();
+}
+
+bool DataflowExecutor::inline_runnable() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return inline_ != nullptr &&
+         (inline_->state == State::kReady || inline_->state == State::kDone);
+}
+
+bool DataflowExecutor::run_inline() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  SIA_CHECK(inline_ != nullptr && (inline_->state == State::kReady ||
+                                   inline_->state == State::kDone),
+            "run_inline without a runnable inline entry");
+  Node* node = inline_;
+  inline_ = nullptr;
+  if (node->state == State::kDone) return node->error == nullptr;
+  node->state = State::kRunning;
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    node->entry.execute();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  lock.lock();
+  node->error = error;
+  node->state = State::kDone;
+  on_complete_locked(node);
+  return error == nullptr;
 }
 
 void DataflowExecutor::on_complete_locked(Node* node) {
@@ -200,7 +233,9 @@ void DataflowExecutor::pump() {
   std::unique_lock<std::mutex> lock(mutex_);
   resolve_operands_locked(lock);
 
-  while (!window_.empty() && window_.front()->state == State::kDone) {
+  // An inline entry retires only after run_inline handed it over.
+  while (!window_.empty() && window_.front()->state == State::kDone &&
+         window_.front().get() != inline_) {
     std::unique_ptr<Node> node = std::move(window_.front());
     window_.pop_front();
     // Scrub the scoreboard: later entries must not chase a dangling
@@ -265,6 +300,7 @@ void DataflowExecutor::record_drain(double wait_seconds) {
 void DataflowExecutor::cancel() {
   std::unique_lock<std::mutex> lock(mutex_);
   cancelled_ = true;
+  inline_ = nullptr;
   // Abandon everything that has not reached the pool yet, then wait out
   // the tasks already running (pure block compute, so they finish on
   // their own — no fabric dependence).

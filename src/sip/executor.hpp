@@ -13,6 +13,13 @@
 // operand parks in the window and is woken when the reply arrives instead
 // of stalling the whole worker.
 //
+// An entry flagged `run_inline` is a super instruction (`execute`): it
+// goes through the same scoreboard, so it waits only on the entries whose
+// blocks it touches and later readers RAW-chain onto it, but the pool
+// never takes it. The interpreter thread pumps until its hazards and
+// operands clear (inline_runnable), runs it itself (run_inline), and
+// then decodes on while the pool keeps working on earlier entries.
+//
 // Retirement is strictly in program order on the interpreter thread.
 // Communication side effects (put/prepare sends, deferred gets) happen at
 // retire, so the fabric sees the exact message sequence of the serial
@@ -71,9 +78,9 @@ class DataflowExecutor {
     // last-writer slot so later readers RAW-chain onto this entry. An id
     // must not appear in both `writes` and `renamed_writes`.
     std::vector<BlockId> renamed_writes;
-    // Heavy work, run on a pool thread once hazards are clear and all
-    // pending operands resolved. May be null (retire-only entries, e.g. a
-    // deferred get issue).
+    // Heavy work, run on a pool thread (or by run_inline) once hazards
+    // are clear and all pending operands resolved. May be null
+    // (retire-only entries, e.g. a deferred get issue).
     std::function<void()> execute;
     // Program-order side effects, run on the interpreter thread at
     // retirement (put/prepare sends, deferred gets). May be null.
@@ -81,6 +88,10 @@ class DataflowExecutor {
     std::vector<PendingOperand> pending_operands;
     // Bytecode position, for error attribution.
     int pc = -1;
+    // Run `execute` on the enqueuing (interpreter) thread instead of the
+    // pool; see inline_runnable/run_inline. At most one such entry may be
+    // waiting to run at a time.
+    bool run_inline = false;
   };
 
   struct Stats {
@@ -130,6 +141,16 @@ class DataflowExecutor {
   // continues while compute is in flight.
   void wait_progress(int timeout_ms);
 
+  // True once the waiting inline entry may run: its hazards cleared and
+  // its operands resolved, or it already failed (resolution error).
+  bool inline_runnable() const;
+
+  // Runs the waiting inline entry's execute on the calling thread and
+  // completes it; it retires in program order like any other entry.
+  // Returns false if the entry failed — its error is rethrown when it
+  // retires, so the caller drains to surface it in program order.
+  bool run_inline();
+
   bool window_full() const { return window_.size() >= window_limit_; }
   bool idle() const { return window_.empty(); }
   std::size_t window_size() const { return window_.size(); }
@@ -160,7 +181,7 @@ class DataflowExecutor {
   enum class State {
     kWaitingOperands,  // pending operands unresolved
     kWaitingHazards,   // operands ready, earlier conflicting entries live
-    kReady,            // queued for the pool
+    kReady,            // queued for the pool (inline: for run_inline)
     kRunning,
     kDone,             // execute finished (or failed: error_ set)
     kRetired,
@@ -196,6 +217,7 @@ class DataflowExecutor {
   std::condition_variable progress_cv_;  // wakes the interpreter thread
   std::deque<std::unique_ptr<Node>> window_;  // program order, head retires
   std::vector<Node*> ready_;                  // issue queue for the pool
+  Node* inline_ = nullptr;  // the inline entry waiting for run_inline
   std::unordered_map<BlockId, KeyState, BlockIdHash> keys_;
   // Un-retired write counts per block, for writes_block().
   std::unordered_map<BlockId, int, BlockIdHash> live_writes_;

@@ -61,9 +61,8 @@ Interpreter::Interpreter(SipShared& shared, int worker_index)
   const auto& names = program_.code().superinstructions;
   superinstructions_.reserve(names.size());
   for (const std::string& name : names) {
-    const SuperInstructionFn* fn =
-        SuperInstructionRegistry::global().lookup(name);
-    superinstructions_.push_back(fn);  // missing ones error on first use
+    // Missing ones error on first use.
+    superinstructions_.push_back(SuperInstructionRegistry::global().find(name));
   }
 }
 
@@ -429,12 +428,10 @@ BlockPtr Interpreter::resolve_served_operand(const BlockId& id) {
   return nullptr;
 }
 
-void Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
-                                    const std::shared_ptr<WindowOp>& op,
-                                    const BlockOperand& operand,
-                                    std::size_t slot) {
+BlockSelector Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
+                                             std::shared_ptr<BlockPtr> slot,
+                                             const BlockOperand& operand) {
   const BlockSelector selector = resolve(operand);
-  op->src_sel[slot] = selector;
   const BlockId id = selector.id();
   entry.reads.push_back(id);
   const sial::ResolvedArray& array = program_.array(selector.array_id);
@@ -444,18 +441,18 @@ void Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
     case ArrayKind::kLocal:
       // Decode-time binding: the pointer snapshot plus the RAW dep on the
       // last window writer reproduce serial read-after-write semantics.
-      op->src[slot] = data_->read_local_kind(selector);
-      return;
+      *slot = data_->read_local_kind(selector);
+      return selector;
     case ArrayKind::kDistributed:
       if (window_put_targets_.count(id) == 0) {
         if (shared_.owner_rank(id) == my_rank_) {
-          op->src[slot] = dist_->try_read(id);  // throws if never put
-          return;
+          *slot = dist_->try_read(id);  // throws if never put
+          return selector;
         }
         dist_->issue_get(id, /*implicit=*/true);
         if (BlockPtr block = dist_->try_read(id)) {
-          op->src[slot] = std::move(block);
-          return;
+          *slot = std::move(block);
+          return selector;
         }
         // The window stalls on this fetch: pull the prefetcher's
         // prediction for the same operand (one source of truth, see
@@ -467,14 +464,14 @@ void Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
       }
       entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
           id, [this, id] { return resolve_dist_operand(id); },
-          [op, slot](BlockPtr block) { op->src[slot] = std::move(block); }});
-      return;
+          [slot](BlockPtr block) { *slot = std::move(block); }});
+      return selector;
     case ArrayKind::kServed:
       if (window_put_targets_.count(id) == 0) {
         served_->issue_request(id);
         if (BlockPtr block = served_->try_read(id)) {
-          op->src[slot] = std::move(block);
-          return;
+          *slot = std::move(block);
+          return selector;
         }
         // Stalled on the I/O server: queue the shared look-ahead
         // prediction as low-priority read-ahead behind the demand fetch.
@@ -484,8 +481,8 @@ void Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
       }
       entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
           id, [this, id] { return resolve_served_operand(id); },
-          [op, slot](BlockPtr block) { op->src[slot] = std::move(block); }});
-      return;
+          [slot](BlockPtr block) { *slot = std::move(block); }});
+      return selector;
   }
   throw InternalError("bind_read_operand: bad array kind");
 }
@@ -631,7 +628,9 @@ void Interpreter::window_block_op(const Instruction& instr, double scalar0) {
   // (tmp = tmp * x) captures the pre-instruction block even when the
   // destination is renamed below.
   for (std::size_t i = 1; i < instr.blocks.size(); ++i) {
-    bind_read_operand(entry, op, instr.blocks[i], i - 1);
+    op->src_sel[i - 1] = bind_read_operand(
+        entry, std::shared_ptr<BlockPtr>(op, &op->src[i - 1]),
+        instr.blocks[i]);
   }
 
   // Destination binding mirrors with_write_block, split across decode
@@ -698,7 +697,8 @@ void Interpreter::window_put(const Instruction& instr, bool served) {
   auto op = std::make_shared<WindowOp>();
   const BlockSelector dst = resolve(instr.blocks[0]);
   op->dst_selector = dst;
-  bind_read_operand(entry, op, instr.blocks[1], 0);
+  op->src_sel[0] = bind_read_operand(
+      entry, std::shared_ptr<BlockPtr>(op, &op->src[0]), instr.blocks[1]);
 
   const bool accumulate = instr.a0 == 1;
   const BlockId target = dst.id();
@@ -751,6 +751,30 @@ void Interpreter::window_put(const Instruction& instr, bool served) {
     }
   };
   enqueue_entry(std::move(entry));
+}
+
+void Interpreter::window_execute(const Instruction& instr) {
+  const SuperInstruction& si = superinstruction(instr);
+  DataflowExecutor::Entry entry;
+  entry.pc = pc_;
+  entry.run_inline = true;
+  std::shared_ptr<ExecCall> call = bind_execute(instr, si, &entry);
+  const SuperInstructionFn* fn = &si.fn;
+  entry.execute = [this, fn, call] { run_execute(*fn, *call); };
+  enqueue_entry(std::move(entry));
+
+  // Wait for this entry's own hazards and operands only, servicing the
+  // fabric meanwhile; the pool keeps working on earlier entries.
+  while (!executor_->inline_runnable()) {
+    shared_.check_abort();
+    service_messages();
+    executor_->pump();
+    if (!executor_->inline_runnable()) executor_->wait_progress(2);
+  }
+  // Scalar arguments and printing take effect here, in program order.
+  // A failure is rethrown when the entry retires: drain to surface it
+  // behind any earlier entry's error.
+  if (!executor_->run_inline()) drain_window();
 }
 
 void Interpreter::enqueue_entry(DataflowExecutor::Entry entry) {
@@ -1267,63 +1291,44 @@ void Interpreter::exec_allocate(const Instruction& instr, bool allocate) {
   }
 }
 
-void Interpreter::exec_execute(const Instruction& instr) {
-  const SuperInstructionFn* fn =
+const SuperInstruction& Interpreter::superinstruction(
+    const Instruction& instr) const {
+  const SuperInstruction* si =
       superinstructions_[static_cast<std::size_t>(instr.a0)];
-  if (fn == nullptr) {
+  if (si == nullptr) {
     throw RuntimeError(
         "unknown super instruction '" +
         program_.code()
             .superinstructions[static_cast<std::size_t>(instr.a0)] +
         "' (not registered with the SIP)");
   }
+  return *si;
+}
 
-  struct Writeback {
-    BlockPtr container;
-    BlockPtr scratch;
-    BlockSelector selector;
-  };
-  std::vector<Writeback> writebacks;
-  std::vector<ExecArgValue> values;
-  values.reserve(instr.eargs.size());
+void Interpreter::exec_execute(const Instruction& instr) {
+  const SuperInstruction& si = superinstruction(instr);
+  run_execute(si.fn, *bind_execute(instr, si, /*entry=*/nullptr));
+}
 
-  for (const sial::ExecOperand& earg : instr.eargs) {
-    ExecArgValue value;
+std::shared_ptr<Interpreter::ExecCall> Interpreter::bind_execute(
+    const Instruction& instr, const SuperInstruction& si,
+    DataflowExecutor::Entry* entry) {
+  const std::size_t n = instr.eargs.size();
+  auto call = std::make_shared<ExecCall>();
+  call->values.resize(n);
+  call->remote.resize(n);
+  call->containers.resize(n);
+
+  std::vector<BlockId> block_ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    const sial::ExecOperand& earg = instr.eargs[i];
+    ExecArgValue& value = call->values[i];
     value.kind = earg.kind;
     switch (earg.kind) {
-      case sial::ExecOperand::Kind::kBlock: {
-        const BlockSelector selector = resolve(earg.block);
-        value.selector = selector;
-        const sial::ResolvedArray& array = program_.array(selector.array_id);
-        const bool local_kind = array.kind == ArrayKind::kStatic ||
-                                array.kind == ArrayKind::kTemp ||
-                                array.kind == ArrayKind::kLocal;
-        if (local_kind && !selector.sliced) {
-          value.block = data_->has_block(selector.id())
-                            ? data_->read_local_kind(selector)
-                            : data_->write_local_kind(selector);
-        } else if (local_kind) {
-          BlockPtr container = data_->read_local_kind(selector);
-          auto scratch = std::make_shared<Block>(
-              slice(*container,
-                    {selector.slice_origin.data(),
-                     static_cast<std::size_t>(selector.rank)},
-                    selector.shape()));
-          writebacks.push_back(Writeback{container, scratch, selector});
-          value.block = std::move(scratch);
-        } else {
-          // Distributed/served: read-only clone.
-          BlockPtr base = fetch_base_block(selector);
-          value.block = std::make_shared<Block>(
-              selector.sliced
-                  ? slice(*base,
-                          {selector.slice_origin.data(),
-                           static_cast<std::size_t>(selector.rank)},
-                          selector.shape())
-                  : base->clone());
-        }
+      case sial::ExecOperand::Kind::kBlock:
+        value.selector = resolve(earg.block);
+        block_ids.push_back(value.selector.id());
         break;
-      }
       case sial::ExecOperand::Kind::kScalar:
         value.scalar = &data_->scalar_ref(earg.slot);
         break;
@@ -1335,18 +1340,81 @@ void Interpreter::exec_execute(const Instruction& instr) {
         value.number = earg.number;
         break;
     }
-    values.push_back(std::move(value));
   }
 
-  SuperInstructionContext context(program_, values, worker_index_,
-                                  shared_.num_workers());
-  (*fn)(context);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (instr.eargs[i].kind != sial::ExecOperand::Kind::kBlock) continue;
+    ExecArgValue& value = call->values[i];
+    const BlockSelector& sel = value.selector;
+    const BlockId id = sel.id();
+    const ArrayKind kind = program_.array(sel.array_id).kind;
+    if (kind == ArrayKind::kDistributed || kind == ArrayKind::kServed) {
+      // Read-only, whatever the declared access.
+      if (entry == nullptr) {
+        call->remote[i] = fetch_base_block(sel);
+      } else {
+        bind_read_operand(*entry,
+                          std::shared_ptr<BlockPtr>(call, &call->remote[i]),
+                          instr.eargs[i].block);
+      }
+      continue;
+    }
+    if (sel.sliced) {
+      // A read-modify-write of the containing block, whatever the access.
+      call->containers[i] = data_->read_local_kind(sel);
+      if (entry != nullptr) {
+        entry->reads.push_back(id);
+        entry->writes.push_back(id);
+      }
+      continue;
+    }
+    const ArgAccess access = si.access_of(i);
+    // A full overwrite of an unsliced temp gets fresh storage in the
+    // window, exactly like window_block_op's destination — unless another
+    // argument names the same block and would see the renamed storage.
+    if (entry != nullptr && access == ArgAccess::kWrite &&
+        kind == ArrayKind::kTemp &&
+        std::count(block_ids.begin(), block_ids.end(), id) == 1) {
+      value.block = data_->rename_local(sel);
+      entry->renamed_writes.push_back(id);
+      continue;
+    }
+    value.block = data_->has_block(id) ? data_->read_local_kind(sel)
+                                       : data_->write_local_kind(sel);
+    if (entry != nullptr) {
+      if (access != ArgAccess::kWrite) entry->reads.push_back(id);
+      if (access != ArgAccess::kRead) entry->writes.push_back(id);
+    }
+  }
+  return call;
+}
 
-  for (const Writeback& writeback : writebacks) {
-    insert(*writeback.container,
-           {writeback.selector.slice_origin.data(),
-            static_cast<std::size_t>(writeback.selector.rank)},
-           *writeback.scratch);
+void Interpreter::run_execute(const SuperInstructionFn& fn, ExecCall& call) {
+  const auto origin_of = [](const BlockSelector& sel) {
+    return std::span<const int>(sel.slice_origin.data(),
+                                static_cast<std::size_t>(sel.rank));
+  };
+  for (std::size_t i = 0; i < call.values.size(); ++i) {
+    ExecArgValue& value = call.values[i];
+    const BlockSelector& sel = value.selector;
+    if (call.remote[i] != nullptr) {
+      // Distributed/served: read-only clone.
+      value.block = std::make_shared<Block>(
+          sel.sliced ? slice(*call.remote[i], origin_of(sel), sel.shape())
+                     : call.remote[i]->clone());
+    } else if (call.containers[i] != nullptr) {
+      value.block = std::make_shared<Block>(
+          slice(*call.containers[i], origin_of(sel), sel.shape()));
+    }
+  }
+  SuperInstructionContext context(program_, call.values, worker_index_,
+                                  shared_.num_workers());
+  fn(context);
+  for (std::size_t i = 0; i < call.values.size(); ++i) {
+    if (call.containers[i] != nullptr) {
+      insert(*call.containers[i], origin_of(call.values[i].selector),
+             *call.values[i].block);
+    }
   }
 }
 
@@ -1695,11 +1763,14 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kExecute:
-      // Super instructions touch blocks through their own protocol the
-      // window cannot see; run them on the serial machine state.
-      drain_window();
-      batch_issue_gets(instr, 0);  // block operands live in eargs
-      exec_execute(instr);
+      // Windowed: an inline entry that waits on its own block hazards
+      // only, never on the whole window.
+      if (executor_) {
+        window_execute(instr);
+      } else {
+        batch_issue_gets(instr, 0);  // block operands live in eargs
+        exec_execute(instr);
+      }
       ++pc_;
       return;
     case Opcode::kSipBarrier:
@@ -1743,9 +1814,13 @@ void Interpreter::execute_program() {
         program_.code().code[static_cast<std::size_t>(pc)];
     if (instr.op == Opcode::kHalt) break;
     const double t0 = wall_seconds();
+    const double drained0 = drain_wait_seconds();
     step();
-    profiler_.record_instruction(pc, instr.line, opcode_name(instr.op),
-                                 wall_seconds() - t0);
+    // Drain wait is reported on its own (ProfileReport::Executor); charge
+    // the line only with the rest of its step.
+    profiler_.record_instruction(
+        pc, instr.line, opcode_name(instr.op),
+        wall_seconds() - t0 - (drain_wait_seconds() - drained0));
   }
   drain_window();
   profiler_.record_total(wall_seconds() - start);

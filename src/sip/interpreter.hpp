@@ -105,6 +105,26 @@ class Interpreter {
   void exec_prepare(const sial::Instruction& instr);
   void exec_allocate(const sial::Instruction& instr, bool allocate);
   void exec_execute(const sial::Instruction& instr);
+  // Bound arguments of one `execute`, shared by the serial and window
+  // paths. `remote` holds the base block of a distributed/served argument
+  // (cloned at run time), `containers` the containing block of a sliced
+  // local argument (cut at run time and inserted back afterwards).
+  struct ExecCall {
+    std::vector<ExecArgValue> values;
+    std::vector<BlockPtr> remote;      // by argument position
+    std::vector<BlockPtr> containers;  // by argument position
+  };
+  // Binds the arguments of `execute`. With `entry` null (serial engine)
+  // remote blocks are fetched now. Otherwise each block argument records
+  // its hazards in `entry` under the declared access: remote arguments
+  // become operands of the entry, sliced ones a read-modify-write of
+  // their container, and a declared `write` temp is renamed.
+  std::shared_ptr<ExecCall> bind_execute(const sial::Instruction& instr,
+                                         const SuperInstruction& si,
+                                         DataflowExecutor::Entry* entry);
+  // Makes the clones and slices, runs `fn`, and writes sliced arguments
+  // back into their containers.
+  void run_execute(const SuperInstructionFn& fn, ExecCall& call);
   void exec_barrier(bool server);
   void exec_collective(const sial::Instruction& instr);
   void exec_checkpoint(const sial::Instruction& instr, bool restore);
@@ -135,14 +155,19 @@ class Interpreter {
   void window_block_op(const sial::Instruction& instr, double scalar0);
   // Decodes put/prepare: permute on the pool, send at retire.
   void window_put(const sial::Instruction& instr, bool served);
-  // Binds source operand `slot` of a window entry: local-kind blocks
-  // resolve immediately; distributed/served blocks either hit the cache
-  // or become PendingOperands (with the fetch issued now unless an
-  // un-retired window put targets the same block).
-  void bind_read_operand(DataflowExecutor::Entry& entry,
-                         const std::shared_ptr<WindowOp>& op,
-                         const sial::BlockOperand& operand,
-                         std::size_t slot);
+  // Decodes `execute` into an inline window entry, waits for its own
+  // hazards and operands only, and runs it on this thread (see
+  // executor.hpp). Block arguments bind through bind_execute, with the
+  // super instruction's declared access deciding the hazards.
+  void window_execute(const sial::Instruction& instr);
+  // Binds a source operand of a window entry into `*slot` (an aliasing
+  // pointer into the entry's closure state) and returns its selector:
+  // local-kind blocks resolve immediately; distributed/served blocks
+  // either hit the cache or become PendingOperands (with the fetch issued
+  // now unless an un-retired window put targets the same block).
+  sial::BlockSelector bind_read_operand(DataflowExecutor::Entry& entry,
+                                        std::shared_ptr<BlockPtr> slot,
+                                        const sial::BlockOperand& operand);
   // Pump-time operand resolution (interpreter thread): returns the block
   // once available, nullptr while in flight, throws when it can never
   // arrive. Defers while one of our own window puts targets `id`.
@@ -162,8 +187,12 @@ class Interpreter {
   // Blocks until the window is empty: every entry executed and retired.
   // Required before any operation whose semantics assume the serial
   // machine state (barriers, collectives, pardo-iteration boundaries,
-  // super instructions, allocate/create/delete, block-dot).
+  // allocate/create/delete, block-dot).
   void drain_window();
+  // Total time drain_window has blocked so far (0 on the serial engine).
+  double drain_wait_seconds() const {
+    return executor_ ? executor_->stats().drain_wait_seconds : 0.0;
+  }
 
   // Requests the next chunk for the frame; false when the pardo is done.
   bool pardo_request_chunk(Frame& frame);
@@ -256,8 +285,11 @@ class Interpreter {
   std::map<std::int64_t, bool> barrier_released_;
   std::map<std::int64_t, double> collective_results_;
 
-  // Resolved super instruction functions by table id.
-  std::vector<const SuperInstructionFn*> superinstructions_;
+  // Resolved super instructions by table id.
+  std::vector<const SuperInstruction*> superinstructions_;
+  // The registered super instruction behind an `execute`; throws if the
+  // SIP has none by that name.
+  const SuperInstruction& superinstruction(const sial::Instruction& instr) const;
 
   // Un-retired window put/prepare counts per destination block: scan-time
   // gets and operand binds for these ids defer until the put's retire has

@@ -212,10 +212,15 @@ double predict_seconds(const sim::WorkloadModel& workload,
           ? std::min(lanes_per_worker,
                      std::max(1.0, candidate.window_limit / 8.0))
           : 1.0;
-  double engine = 1.0;
-  if (threads >= 1) engine *= 0.95;   // window bookkeeping
-  if (threads >= 2) engine *= 0.92;   // pool synchronization
-  if (total_lanes > cores) engine *= 0.85;  // context switching
+  // Engine efficiency with `lanes` compute lanes busy host-wide.
+  const auto engine_with = [&](double lanes) {
+    double engine = 1.0;
+    if (threads >= 1) engine *= 0.95;   // window bookkeeping
+    if (threads >= 2) engine *= 0.92;   // pool synchronization
+    if (lanes > cores) engine *= 0.85;  // context switching
+    return engine;
+  };
+  const double engine = engine_with(total_lanes);
   const double worker_rate =
       cal.gemm_gflops * 1e9 *
       segment_efficiency(candidate.default_segment, cal.kernel_knee) *
@@ -265,18 +270,35 @@ double predict_seconds(const sim::WorkloadModel& workload,
   // rate that does not follow the GEMM efficiency curve, and halve once
   // a block spills the per-core cache — which is why huge segments lose
   // on integral-heavy programs even though their GEMMs run faster. The
-  // DES keeps a single machine rate, so convert those flops into
-  // GEMM-equivalent flops at this candidate's segment efficiency.
+  // DES keeps a single machine rate, so convert each task's time into
+  // flops at this candidate's worker rate.
+  //
+  // The serial engine runs a task's executes and block ops one after the
+  // other. The window engine runs executes inline on the interpreter
+  // thread while the pool lanes work on block ops: one more busy lane
+  // per worker sharing the cores, and a task costs the slower lane.
   constexpr double kExecuteCacheBytes = 256.0 * 1024.0;
   const double gemm_rate =
       cal.gemm_gflops * 1e9 *
       segment_efficiency(candidate.default_segment, cal.kernel_knee);
+  const double busy_lanes = total_lanes + workers;
+  const double busy_share = std::min(1.0, cores / busy_lanes);
+  const double busy_engine = engine_with(busy_lanes);
   for (sim::PhaseModel& phase : modeled.phases) {
-    if (phase.execute_flops_per_task <= 0.0) continue;
+    const double execute_flops = phase.execute_flops_per_task;
+    if (execute_flops <= 0.0) continue;
     double execute_rate = cal.execute_gflops * 1e9;
     if (phase.peak_block_bytes > kExecuteCacheBytes) execute_rate *= 0.5;
-    phase.flops_per_task +=
-        phase.execute_flops_per_task * (gemm_rate / execute_rate - 1.0);
+    if (threads == 0) {
+      phase.flops_per_task +=
+          execute_flops * (gemm_rate / execute_rate - 1.0);
+      continue;
+    }
+    const double pool_s = (phase.flops_per_task - execute_flops) /
+                          (gemm_rate * busy_share * window_lanes * busy_engine);
+    const double interpreter_s =
+        execute_flops / (execute_rate * busy_share * busy_engine);
+    phase.flops_per_task = std::max(pool_s, interpreter_s) * worker_rate;
   }
 
   const sim::WorkloadResult result =

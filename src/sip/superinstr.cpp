@@ -257,13 +257,14 @@ SuperInstructionRegistry& SuperInstructionRegistry::global() {
   return registry;
 }
 
-void SuperInstructionRegistry::register_instruction(const std::string& name,
-                                                    SuperInstructionFn fn) {
+void SuperInstructionRegistry::register_instruction(
+    const std::string& name, SuperInstructionFn fn,
+    std::vector<ArgAccess> access) {
   std::lock_guard<std::mutex> lock(mutex_);
-  table_[name] = std::move(fn);
+  table_[name] = SuperInstruction{std::move(fn), std::move(access)};
 }
 
-const SuperInstructionFn* SuperInstructionRegistry::lookup(
+const SuperInstruction* SuperInstructionRegistry::find(
     const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = table_.find(name);
@@ -380,16 +381,24 @@ void builtin_print_block_norm(SuperInstructionContext& ctx) {
 void register_builtin_superinstructions() {
   static std::once_flag once;
   std::call_once(once, [] {
+    constexpr ArgAccess kR = ArgAccess::kRead;
+    constexpr ArgAccess kW = ArgAccess::kWrite;
     auto& registry = SuperInstructionRegistry::global();
-    registry.register_instruction("fill_value", builtin_fill_value);
-    registry.register_instruction("fill_coords", builtin_fill_coords);
-    registry.register_instruction("random_block", builtin_random_block);
-    registry.register_instruction("fill_decay", builtin_fill_decay);
-    registry.register_instruction("block_nrm2", builtin_block_nrm2);
-    registry.register_instruction("block_asum", builtin_block_asum);
-    registry.register_instruction("block_max_abs", builtin_block_max_abs);
+    registry.register_instruction("fill_value", builtin_fill_value,
+                                  {kW, kR});
+    registry.register_instruction("fill_coords", builtin_fill_coords, {kW});
+    registry.register_instruction("random_block", builtin_random_block,
+                                  {kW, kR});
+    registry.register_instruction("fill_decay", builtin_fill_decay,
+                                  {kW, kR, kR});
+    registry.register_instruction("block_nrm2", builtin_block_nrm2,
+                                  {kR, kW});
+    registry.register_instruction("block_asum", builtin_block_asum,
+                                  {kR, kW});
+    registry.register_instruction("block_max_abs", builtin_block_max_abs,
+                                  {kR, kW});
     registry.register_instruction("print_block_norm",
-                                  builtin_print_block_norm);
+                                  builtin_print_block_norm, {kR});
   });
 }
 

@@ -136,23 +136,47 @@ class SuperInstructionContext {
 
 using SuperInstructionFn = std::function<void(SuperInstructionContext&)>;
 
+// How a super instruction uses one of its arguments. Only block arguments
+// matter to the runtime: the threaded engine turns them into the hazard
+// sets of the `execute`'s window entry.
+//   kRead       contents are read, never modified
+//   kWrite      a full overwrite that never reads the old contents; an
+//               unsliced temp argument is renamed to fresh storage
+//   kReadWrite  read and modified in place (the conservative default)
+enum class ArgAccess { kRead, kWrite, kReadWrite };
+
+struct SuperInstruction {
+  SuperInstructionFn fn;
+  // Declared access by argument position. Positions past the end — every
+  // position of an instruction registered without a list — are
+  // kReadWrite.
+  std::vector<ArgAccess> access;
+
+  ArgAccess access_of(std::size_t arg) const {
+    return arg < access.size() ? access[arg] : ArgAccess::kReadWrite;
+  }
+};
+
 class SuperInstructionRegistry {
  public:
   // Process-global registry (workers share it read-mostly).
   static SuperInstructionRegistry& global();
 
-  // Registers or replaces a super instruction.
-  void register_instruction(const std::string& name, SuperInstructionFn fn);
+  // Registers or replaces a super instruction, optionally declaring how
+  // it accesses each argument (see ArgAccess).
+  void register_instruction(const std::string& name, SuperInstructionFn fn,
+                            std::vector<ArgAccess> access = {});
   // nullptr if unknown.
-  const SuperInstructionFn* lookup(const std::string& name) const;
+  const SuperInstruction* find(const std::string& name) const;
   std::vector<std::string> names() const;
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, SuperInstructionFn> table_;
+  std::map<std::string, SuperInstruction> table_;
 };
 
-// Registers the built-in execute-able super instructions:
+// Registers the built-in execute-able super instructions (the block
+// argument is declared `write` for the fills and `read` for the rest):
 //   fill_value <block> <number>         every element := number
 //   fill_coords <block>                 element := base-100 coordinate code
 //   random_block <block> <number seed>  deterministic pseudo-random fill

@@ -377,6 +377,110 @@ TEST(DataflowExecutorTest, WindowLimitAndLiveWriteTracking) {
 }
 
 // ---------------------------------------------------------------------
+// Inline entries: `execute` runs on the interpreter thread but waits only
+// on its own hazards.
+
+// Interpreter-side wait for the inline entry: pump until it may run.
+void wait_inline_runnable(DataflowExecutor& executor) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!executor.inline_runnable()) {
+    executor.pump();
+    if (executor.inline_runnable()) break;
+    executor.wait_progress(5);
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "inline entry never became runnable";
+  }
+}
+
+TEST(DataflowExecutorTest, InlineEntryRunsOnCallingThread) {
+  DataflowExecutor executor(2, 64);
+  std::thread::id ran_on;
+  DataflowExecutor::Entry entry;
+  entry.writes = {bid(0, 1)};
+  entry.run_inline = true;
+  entry.execute = [&] { ran_on = std::this_thread::get_id(); };
+  executor.enqueue(std::move(entry));
+
+  wait_inline_runnable(executor);
+  EXPECT_TRUE(executor.run_inline());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  drive(executor);
+  EXPECT_EQ(executor.stats().tasks_executed, 0);
+  EXPECT_EQ(executor.stats().entries_retired, 1);
+}
+
+TEST(DataflowExecutorTest, InlineEntryOvertakesUnrelatedRunningEntry) {
+  DataflowExecutor executor(1, 64);
+  std::atomic<bool> nap_done{false};
+  DataflowExecutor::Entry napper;
+  napper.writes = {bid(0, 1)};
+  napper.execute = [&] {
+    nap(200);
+    nap_done = true;
+  };
+  executor.enqueue(std::move(napper));
+
+  // Disjoint block: no hazard, so it must not wait out the 200 ms nap.
+  bool ran = false;
+  DataflowExecutor::Entry entry;
+  entry.writes = {bid(0, 2)};
+  entry.run_inline = true;
+  entry.execute = [&] { ran = true; };
+  executor.enqueue(std::move(entry));
+
+  wait_inline_runnable(executor);
+  EXPECT_TRUE(executor.run_inline());
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(nap_done.load()) << "inline entry waited for an unrelated one";
+  EXPECT_EQ(executor.window_size(), 2u);  // retirement stays in order
+  drive(executor);
+  EXPECT_TRUE(nap_done.load());
+}
+
+TEST(DataflowExecutorTest, InlineReaderWaitsForNappingWriter) {
+  DataflowExecutor executor(2, 64);
+  int value = 0;  // plain on purpose: the RAW edge must publish it
+  DataflowExecutor::Entry writer;
+  writer.writes = {bid(0, 3)};
+  writer.execute = [&] {
+    nap(100);
+    value = 42;
+  };
+  executor.enqueue(std::move(writer));
+
+  int observed = -1;
+  DataflowExecutor::Entry reader;
+  reader.reads = {bid(0, 3)};
+  reader.run_inline = true;
+  reader.execute = [&] { observed = value; };
+  executor.enqueue(std::move(reader));
+  EXPECT_FALSE(executor.inline_runnable());
+
+  wait_inline_runnable(executor);
+  EXPECT_TRUE(executor.run_inline());
+  EXPECT_EQ(observed, 42);
+  drive(executor);
+  EXPECT_GE(executor.stats().raw_deps, 1);
+}
+
+TEST(DataflowExecutorTest, InlineEntryErrorSurfacesAtRetire) {
+  DataflowExecutor executor(1, 64);
+  DataflowExecutor::Entry entry;
+  entry.writes = {bid(0, 4)};
+  entry.pc = 5;
+  entry.run_inline = true;
+  entry.execute = [] { throw RuntimeError("injected inline failure"); };
+  executor.enqueue(std::move(entry));
+
+  wait_inline_runnable(executor);
+  EXPECT_FALSE(executor.run_inline());
+  EXPECT_THROW(executor.pump(), RuntimeError);
+  EXPECT_EQ(executor.last_error_pc(), 5);
+  executor.cancel();
+}
+
+// ---------------------------------------------------------------------
 // End-to-end bit-identity: the acceptance criterion for the whole
 // feature. Results must be *exactly* equal (EXPECT_EQ on doubles, not
 // EXPECT_NEAR): program-order retirement plus hazard-serialized
@@ -430,35 +534,75 @@ void expect_bit_identical(const std::map<std::string, double>& base,
   }
 }
 
-TEST(ExecutorIntegrationTest, Mp2BitIdenticalAcrossThreadCounts) {
+// The bit-identity matrix: every chemistry program with `execute` super
+// instructions — now inline window entries — against the serial engine,
+// over worker_threads x window_limit. window_limit=1 leaves the inline
+// entry alone in the window; 2 puts constant back-pressure on the scan;
+// 64 lets the pool run far behind the interpreter thread. Three threads
+// make an odd pool; four oversubscribe a small host.
+void expect_matrix_bit_identical(const std::string& source,
+                                 const std::vector<std::string>& outputs,
+                                 const std::string& program) {
   SipConfig config = single_worker_config();
   config.worker_threads = 0;
-  const auto base = run_scalars(config, chem::mp2_energy_source());
-  for (const int threads : {1, 2, 4}) {
-    config.worker_threads = threads;
-    expect_bit_identical(base,
-                         run_scalars(config, chem::mp2_energy_source()),
-                         {"e2"},
-                         "mp2 worker_threads=" + std::to_string(threads));
+  const auto base = run_scalars(config, source);
+  for (const int threads : {1, 2, 3, 4}) {
+    for (const int window : {1, 2, 64}) {
+      config.worker_threads = threads;
+      config.window_limit = window;
+      expect_bit_identical(base, run_scalars(config, source), outputs,
+                           program + " worker_threads=" +
+                               std::to_string(threads) +
+                               " window_limit=" + std::to_string(window));
+    }
   }
 }
 
-TEST(ExecutorIntegrationTest, CcdBitIdenticalThreadedVsSerial) {
-  SipConfig config = single_worker_config();
-  config.worker_threads = 0;
-  const auto base = run_scalars(config, chem::ccd_energy_source());
-  config.worker_threads = 3;
-  expect_bit_identical(base, run_scalars(config, chem::ccd_energy_source()),
-                       {"energy", "rnorm2"}, "ccd worker_threads=3");
+TEST(ExecutorIntegrationTest, CcdBitIdenticalMatrix) {
+  expect_matrix_bit_identical(chem::ccd_energy_source(), {"energy", "rnorm2"},
+                              "ccd");
 }
 
-TEST(ExecutorIntegrationTest, ServedMp2BitIdenticalThreadedVsSerial) {
-  SipConfig config = single_worker_config();
-  config.worker_threads = 0;
-  const auto base = run_scalars(config, chem::mp2_served_source());
+TEST(ExecutorIntegrationTest, Mp2BitIdenticalMatrix) {
+  // mp2_block_energy accumulates into a scalar argument: the side effect
+  // must land in program order on the interpreter thread.
+  expect_matrix_bit_identical(chem::mp2_energy_source(), {"e2"}, "mp2");
+}
+
+TEST(ExecutorIntegrationTest, ServedMp2BitIdenticalMatrix) {
+  expect_matrix_bit_identical(chem::mp2_served_source(), {"e2", "tnorm2"},
+                              "served mp2");
+}
+
+TEST(ExecutorIntegrationTest, FockBuildBitIdenticalMatrix) {
+  expect_matrix_bit_identical(chem::fock_build_source(), {"fnorm2", "fnorm"},
+                              "fock_build");
+}
+
+TEST(ExecutorIntegrationTest, CcdThreadedUnderChaosAppliesExactlyOnce) {
+  // Three threaded workers under drop/dup plans: a lost put would fail a
+  // get or leave a stale amplitude, and a duplicated put or reduction
+  // applied twice would shift the collective sums far past 1e-11.
+  SipConfig config = chem_config();
+  config.default_segment = 2;  // 16 amplitude blocks: real get/put traffic
   config.worker_threads = 2;
-  expect_bit_identical(base, run_scalars(config, chem::mp2_served_source()),
-                       {"e2", "tnorm2"}, "served mp2 worker_threads=2");
+  config.retry_timeout_ms = 50;
+  double norm2 = 0.0;
+  const double energy = chem::ref_ccd_energy(8, 4, 3, &norm2);
+  std::int64_t dropped = 0;
+  std::int64_t duplicated = 0;
+  for (int seed = 1; seed <= 3; ++seed) {
+    const std::string plan = "drop=0.03,dup=0.05,seed=" + std::to_string(seed);
+    config.fault_plan = FaultPlan::parse(plan);
+    Sip sip(config);
+    const RunResult result = sip.run_source(chem::ccd_energy_source());
+    dropped += result.profile.robustness.faults_dropped;
+    duplicated += result.profile.robustness.faults_duplicated;
+    EXPECT_NEAR(result.scalar("energy"), energy, 1e-11) << plan;
+    EXPECT_NEAR(result.scalar("rnorm2"), norm2, 1e-11) << plan;
+  }
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(duplicated, 0);
 }
 
 TEST(ExecutorIntegrationTest, CommStormBitIdenticalWithCoalescing) {
@@ -469,18 +613,6 @@ TEST(ExecutorIntegrationTest, CommStormBitIdenticalWithCoalescing) {
   config.worker_threads = 2;
   expect_bit_identical(base, run_scalars(config, chem::comm_storm_source()),
                        {"cnorm2"}, "comm_storm worker_threads=2 coalescing");
-}
-
-TEST(ExecutorIntegrationTest, TinyWindowStillBitIdentical) {
-  // ccd keeps real get/contract/accumulate/put traffic in the window;
-  // window_limit=2 puts constant back-pressure on the scan-ahead.
-  SipConfig config = single_worker_config();
-  config.worker_threads = 0;
-  const auto base = run_scalars(config, chem::ccd_energy_source());
-  config.worker_threads = 2;
-  config.window_limit = 2;
-  expect_bit_identical(base, run_scalars(config, chem::ccd_energy_source()),
-                       {"energy", "rnorm2"}, "ccd window_limit=2");
 }
 
 TEST(ExecutorIntegrationTest, RandomizedSegmentSweepBitIdentical) {
@@ -528,8 +660,9 @@ TEST(ExecutorIntegrationTest, MultiWorkerThreadedMatchesReference) {
 
 TEST(ExecutorIntegrationTest, ProfileReportsExecutorCounters) {
   // comm_storm, not mp2: mp2's body is pure `execute` super instructions
-  // (which drain the window), so only block-op traffic proves the
-  // counters flow from the executor through launch aggregation.
+  // (which run inline, never on the pool), so only block-op traffic
+  // proves the counters flow from the executor through launch
+  // aggregation.
   SipConfig config = single_worker_config();
   config.worker_threads = 2;
   Sip sip(config);
@@ -549,6 +682,48 @@ TEST(ExecutorIntegrationTest, ProfileReportsExecutorCounters) {
   EXPECT_FALSE(base.profile.executor.any());
   EXPECT_EQ(base.profile.to_string().find("dataflow executor"),
             std::string::npos);
+}
+
+TEST(ExecutorIntegrationTest, DrainWaitIsNotChargedToLines) {
+  // Each block dot drains the window behind a 256^3 contraction. That
+  // wait is reported as the executor's drain_wait_seconds; the dot's line
+  // must not carry it too. With one worker the program's wall time is
+  // the lines plus the drains (plus per-step loop overhead, far below
+  // 1% here); charging drains to lines as well would overshoot it by
+  // the whole drain wait.
+  SipConfig config;
+  config.workers = 1;
+  config.worker_threads = 1;
+  config.default_segment = 256;
+  config.constants = {{"n", 512}};
+  Sip sip(config);
+  const RunResult result = sip.run_source(R"(sial drain_attribution
+moindex i = 1, n
+moindex j = 1, n
+moindex k = 1, n
+temp a(i,k)
+temp b(k,j)
+temp c(i,j)
+scalar x
+pardo i, j
+  do k
+    execute random_block a(i,k) 1.0
+    execute random_block b(k,j) 2.0
+    c(i,j) = a(i,k) * b(k,j)
+    x += c(i,j) * c(i,j)
+  enddo k
+endpardo i, j
+endsial
+)");
+  double lines = 0.0;
+  for (const ProfileReport::LineCost& cost : result.profile.lines) {
+    lines += cost.seconds;
+  }
+  const double drains = result.profile.executor.drain_wait_seconds;
+  const double elapsed = result.profile.total_elapsed;
+  EXPECT_GT(drains, 0.02 * elapsed);  // the check below can tell
+  EXPECT_NEAR(lines + drains, elapsed, 0.01 * elapsed)
+      << "lines " << lines << " s, drains " << drains << " s";
 }
 
 TEST(ExecutorIntegrationTest, RuntimeErrorKeepsLineAttributionThreaded) {

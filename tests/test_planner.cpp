@@ -12,11 +12,13 @@
 #include <fstream>
 #include <string>
 
+#include "chem/programs.hpp"
 #include "common/config.hpp"
 #include "sial/compiler.hpp"
 #include "sial/opt/optimizer.hpp"
 #include "sip/launch.hpp"
 #include "sip/planner.hpp"
+#include "sim/program_model.hpp"
 
 namespace sia::sip {
 namespace {
@@ -105,6 +107,31 @@ TEST(PlannerTest, OneCoreHostChoosesSerialEngine) {
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{1});
   EXPECT_EQ(choice.config.worker_threads, 0);
+}
+
+TEST(PlannerTest, InlineExecutesMakeWindowEngineWinOnMultiCoreHost) {
+  // ccd at the benchmark's shape: integral generation (execute) and the
+  // contractions are about even. The window engine runs the executes on
+  // the interpreter thread while the pool contracts, so on four cores
+  // one pool thread per worker beats the serial engine, which runs them
+  // one after the other.
+  SipConfig config;
+  config.workers = 2;
+  config.io_servers = 0;
+  config.default_segment = 16;
+  config.constants = {{"norb", 96}, {"nocc", 32}, {"maxiter", 1}};
+  const sial::ResolvedProgram program(
+      sial::opt::optimize(sial::compile_sial(chem::ccd_energy_source()),
+                          config.opt_level)
+          .program,
+      config);
+  const sim::WorkloadModel workload = sim::model_program(program);
+  SipConfig serial = config;
+  serial.worker_threads = 0;
+  SipConfig windowed = config;
+  windowed.worker_threads = 1;
+  EXPECT_LT(predict_seconds(workload, windowed, Calibration{}, HostModel{4}),
+            predict_seconds(workload, serial, Calibration{}, HostModel{4}));
 }
 
 TEST(PlannerTest, NeverPredictedSlowerThanSerial) {

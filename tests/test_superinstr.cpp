@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <span>
@@ -16,6 +17,7 @@
 #include "block/block.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "sip/launch.hpp"
 #include "sip/superinstr.hpp"
 
 namespace sia::sip {
@@ -426,14 +428,14 @@ TEST(RegistryTest, RegisterLookupAndList) {
                                 [&](SuperInstructionContext&) {
                                   called = true;
                                 });
-  const SuperInstructionFn* fn = registry.lookup("test_only_op");
-  ASSERT_NE(fn, nullptr);
+  const SuperInstruction* instruction = registry.find("test_only_op");
+  ASSERT_NE(instruction, nullptr);
   std::vector<ExecArgValue> args;
   const sial::ResolvedProgram program(sial::CompiledProgram{}, SipConfig{});
   SuperInstructionContext context(program, args, 0, 1);
-  (*fn)(context);
+  instruction->fn(context);
   EXPECT_TRUE(called);
-  EXPECT_EQ(registry.lookup("no_such_op"), nullptr);
+  EXPECT_EQ(registry.find("no_such_op"), nullptr);
 
   const auto names = registry.names();
   EXPECT_NE(std::find(names.begin(), names.end(), "test_only_op"),
@@ -446,7 +448,128 @@ TEST(RegistryTest, BuiltinsRegistered) {
   for (const char* name :
        {"fill_value", "fill_coords", "random_block", "block_nrm2",
         "block_asum", "block_max_abs", "print_block_norm"}) {
-    EXPECT_NE(registry.lookup(name), nullptr) << name;
+    EXPECT_NE(registry.find(name), nullptr) << name;
+  }
+}
+
+TEST(RegistryTest, UndeclaredArgumentsAreReadWrite) {
+  auto& registry = SuperInstructionRegistry::global();
+  registry.register_instruction("test_undeclared",
+                                [](SuperInstructionContext&) {});
+  registry.register_instruction("test_declared",
+                                [](SuperInstructionContext&) {},
+                                {ArgAccess::kWrite, ArgAccess::kRead});
+  const SuperInstruction* undeclared = registry.find("test_undeclared");
+  const SuperInstruction* declared = registry.find("test_declared");
+  ASSERT_NE(undeclared, nullptr);
+  ASSERT_NE(declared, nullptr);
+  EXPECT_EQ(undeclared->access_of(0), ArgAccess::kReadWrite);
+  EXPECT_EQ(declared->access_of(0), ArgAccess::kWrite);
+  EXPECT_EQ(declared->access_of(1), ArgAccess::kRead);
+  EXPECT_EQ(declared->access_of(2), ArgAccess::kReadWrite);  // past the list
+}
+
+// ---------------------------------------------------------------------
+// Declared access under the threaded engine: an `execute` is an inline
+// window entry whose block hazards come from the declaration.
+
+// What `access_probe_record` saw, in call order: the storage address of
+// its block argument and the block's first element.
+struct Probe {
+  const double* storage;
+  double first;
+};
+std::mutex g_probe_mutex;
+std::vector<Probe> g_probes;
+
+void register_access_probes() {
+  auto& registry = SuperInstructionRegistry::global();
+  registry.register_instruction(
+      "access_probe_record",
+      [](SuperInstructionContext& ctx) {
+        const Block& block = ctx.block_arg(0);
+        std::lock_guard<std::mutex> lock(g_probe_mutex);
+        g_probes.push_back({block.data().data(), block.data()[0]});
+      },
+      {ArgAccess::kRead});
+  // Undeclared on purpose: updates its block in place.
+  registry.register_instruction("access_probe_bump",
+                                [](SuperInstructionContext& ctx) {
+                                  blas::shift(ctx.block_arg(0).data(), 1.0);
+                                });
+}
+
+// Fills t, lets a pool entry copy it into u, then runs the `update`
+// statement on t. The recorded probes are (t before, t after) per pardo iteration, and
+// usum = sum of u's squares must only ever see the first fill.
+RunResult run_access_probe(int worker_threads, const std::string& update) {
+  register_access_probes();
+  {
+    std::lock_guard<std::mutex> lock(g_probe_mutex);
+    g_probes.clear();
+  }
+  SipConfig config;
+  config.workers = 1;
+  config.io_servers = 0;
+  config.worker_threads = worker_threads;
+  config.default_segment = 4;
+  config.constants = {{"n", 8}};
+  Sip sip(config);
+  return sip.run_source(R"(sial access_probe
+moindex i = 1, n
+temp t(i)
+temp u(i)
+scalar usum
+pardo i
+  execute fill_value t(i) 1.0
+  execute access_probe_record t(i)
+  u(i) = t(i)
+  )" + update + R"(
+  execute access_probe_record t(i)
+  usum += u(i) * u(i)
+endpardo i
+endsial
+)");
+}
+
+TEST(DeclaredAccessTest, UndeclaredSuperInstructionKeepsReadWriteHazards) {
+  const RunResult result = run_access_probe(2, "execute access_probe_bump t(i)");
+  EXPECT_EQ(result.scalar("usum"), 8.0);  // u copied t before the bump
+  std::lock_guard<std::mutex> lock(g_probe_mutex);
+  ASSERT_EQ(g_probes.size(), 4u);  // two iterations
+  for (std::size_t k = 0; k < g_probes.size(); k += 2) {
+    // Read-write: the bump saw the filled block in place.
+    EXPECT_EQ(g_probes[k].storage, g_probes[k + 1].storage);
+    EXPECT_EQ(g_probes[k].first, 1.0);
+    EXPECT_EQ(g_probes[k + 1].first, 2.0);
+  }
+}
+
+TEST(DeclaredAccessTest, WriteArgumentOnTempIsRenamed) {
+  const RunResult result = run_access_probe(2, "execute fill_value t(i) 2.0");
+  // The pool's reader of the first fill kept the old block: it saw 1.0
+  // even though the second fill did not wait for it.
+  EXPECT_EQ(result.scalar("usum"), 8.0);
+  EXPECT_EQ(result.profile.executor.war_deps, 0);
+  EXPECT_EQ(result.profile.executor.waw_deps, 0);
+  std::lock_guard<std::mutex> lock(g_probe_mutex);
+  ASSERT_EQ(g_probes.size(), 4u);
+  for (std::size_t k = 0; k < g_probes.size(); k += 2) {
+    // A declared full overwrite of an unsliced temp gets fresh storage
+    // (the old block was still live when the new one was allocated, so
+    // the addresses must differ).
+    EXPECT_NE(g_probes[k].storage, g_probes[k + 1].storage);
+    EXPECT_EQ(g_probes[k + 1].first, 2.0);
+  }
+}
+
+TEST(DeclaredAccessTest, SerialEngineWritesInPlace) {
+  const RunResult result = run_access_probe(0, "execute fill_value t(i) 2.0");
+  EXPECT_EQ(result.scalar("usum"), 8.0);
+  std::lock_guard<std::mutex> lock(g_probe_mutex);
+  ASSERT_EQ(g_probes.size(), 4u);
+  for (std::size_t k = 0; k < g_probes.size(); k += 2) {
+    EXPECT_EQ(g_probes[k].storage, g_probes[k + 1].storage);
   }
 }
 
