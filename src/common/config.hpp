@@ -96,11 +96,11 @@ struct SipConfig {
   int prefetch_depth = 2;
 
   // Compute threads per worker for the intra-worker dataflow executor
-  // (the instruction window). 0 = legacy serial interpreter: no window,
-  // every super instruction runs inline on the interpreter thread,
-  // bit- and message-identical to the pre-executor runtime. >= 1 turns
-  // the window on with that many pool threads (1 still overlaps compute
-  // with fabric service). -1 = auto: hardware concurrency divided by the
+  // (the instruction window). 0 = no window: the same binders and
+  // compute bodies run each instruction at issue on the interpreter
+  // thread with no window entry, bit- and message-identical to the
+  // window's results. >= 1 turns the window on with that many pool
+  // threads (1 still overlaps compute with fabric service). -1 = auto: hardware concurrency divided by the
   // launch's rank count — the window only turns on when the host has
   // spare cores per rank, so an oversubscribed laptop run stays serial.
   int worker_threads = -1;

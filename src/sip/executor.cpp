@@ -76,7 +76,6 @@ void DataflowExecutor::enqueue(Entry entry) {
     }
     ks.last_writer = node;
     ks.readers_since_write.clear();
-    ++live_writes_[id];
   }
   // Renamed writes: fresh storage, so earlier accesses of the id are not
   // hazards; claim the scoreboard so later accesses chain onto this node.
@@ -84,7 +83,6 @@ void DataflowExecutor::enqueue(Entry entry) {
     KeyState& ks = keys_[id];
     ks.last_writer = node;
     ks.readers_since_write.clear();
-    ++live_writes_[id];
   }
   node->unmet_deps = static_cast<int>(deps.size());
   for (Node* dep : deps) dep->dependents.push_back(node);
@@ -246,10 +244,6 @@ void DataflowExecutor::pump() {
       if (it != keys_.end() && it->second.last_writer == node.get()) {
         it->second.last_writer = nullptr;
       }
-      auto lw = live_writes_.find(id);
-      if (lw != live_writes_.end() && --lw->second <= 0) {
-        live_writes_.erase(lw);
-      }
     };
     for (const BlockId& id : node->entry.writes) scrub_write(id);
     for (const BlockId& id : node->entry.renamed_writes) scrub_write(id);
@@ -286,11 +280,6 @@ void DataflowExecutor::wait_progress(int timeout_ms) {
   progress_event_ = false;
 }
 
-bool DataflowExecutor::writes_block(const BlockId& id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return live_writes_.count(id) > 0;
-}
-
 void DataflowExecutor::record_drain(double wait_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.drains;
@@ -322,7 +311,6 @@ void DataflowExecutor::cancel() {
   });
   window_.clear();
   keys_.clear();
-  live_writes_.clear();
 }
 
 }  // namespace sia::sip

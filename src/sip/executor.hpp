@@ -155,10 +155,6 @@ class DataflowExecutor {
   bool idle() const { return window_.empty(); }
   std::size_t window_size() const { return window_.size(); }
 
-  // True while any un-retired entry writes `id` (used by the interpreter
-  // to order scan-time reads behind window writes).
-  bool writes_block(const BlockId& id) const;
-
   // Drops every entry that has not started executing and waits for the
   // running ones; retire actions are NOT run. Used on abort paths so the
   // worker can unwind without waiting for operands that will never
@@ -219,8 +215,6 @@ class DataflowExecutor {
   std::vector<Node*> ready_;                  // issue queue for the pool
   Node* inline_ = nullptr;  // the inline entry waiting for run_inline
   std::unordered_map<BlockId, KeyState, BlockIdHash> keys_;
-  // Un-retired write counts per block, for writes_block().
-  std::unordered_map<BlockId, int, BlockIdHash> live_writes_;
   std::uint64_t next_seq_ = 1;
   int last_error_pc_ = -1;
   bool progress_event_ = false;

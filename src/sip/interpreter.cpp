@@ -25,6 +25,11 @@ namespace {
 // AssignStmt::Op values as compiled into a0.
 enum Mode { kModeAssign = 0, kModeAcc = 1, kModeSub = 2, kModeScale = 3 };
 
+// The element origin of a sliced selector, as slice/insert take it.
+std::span<const int> origin_of(const BlockSelector& sel) {
+  return {sel.slice_origin.data(), static_cast<std::size_t>(sel.rank)};
+}
+
 }  // namespace
 
 Interpreter::Interpreter(SipShared& shared, int worker_index)
@@ -312,74 +317,27 @@ BlockSelector Interpreter::resolve(const BlockOperand& operand) const {
 }
 
 BlockPtr Interpreter::fetch_base_block(const BlockSelector& selector) {
-  const sial::ResolvedArray& array = program_.array(selector.array_id);
-  switch (array.kind) {
-    case ArrayKind::kStatic:
-    case ArrayKind::kTemp:
-    case ArrayKind::kLocal:
-      return data_->read_local_kind(selector);
-    case ArrayKind::kDistributed: {
-      const BlockId id = selector.id();
-      if (shared_.owner_rank(id) == my_rank_) {
-        return dist_->try_read(id);  // throws if never put
-      }
-      while (true) {
-        if (BlockPtr block = dist_->try_read(id)) return block;
-        if (!dist_->pending(id)) dist_->issue_get(id, /*implicit=*/true);
-        wait_until([&] { return !dist_->pending(id); }, "distributed block",
-                   WaitKind::kBlock);
-      }
-    }
-    case ArrayKind::kServed: {
-      const BlockId id = selector.id();
-      while (true) {
-        if (BlockPtr block = served_->try_read(id)) return block;
-        // Unconditional: a no-op while a demand fetch is in flight, but
-        // if only a look-ahead is pending this sends the demand request
-        // that promotes the server's queued read-ahead job — otherwise
-        // the worker would block at low priority behind every other
-        // rank's demand reads.
-        served_->issue_request(id);
-        wait_until([&] { return !served_->pending(id); }, "served block",
-                   WaitKind::kServed);
-      }
-    }
+  const ArrayKind kind = program_.array(selector.array_id).kind;
+  if (kind != ArrayKind::kDistributed && kind != ArrayKind::kServed) {
+    return data_->read_local_kind(selector);
   }
-  throw InternalError("fetch_base_block: bad array kind");
-}
-
-BlockPtr Interpreter::read_operand(const BlockOperand& operand) {
-  const BlockSelector selector = resolve(operand);
-  BlockPtr base = fetch_base_block(selector);
-  if (!selector.sliced) return base;
-  return std::make_shared<Block>(
-      slice(*base,
-            {selector.slice_origin.data(),
-             static_cast<std::size_t>(selector.rank)},
-            selector.shape()));
-}
-
-void Interpreter::with_write_block(
-    const BlockSelector& selector, bool needs_existing,
-    const std::function<void(Block&)>& compute) {
-  if (!selector.sliced) {
-    BlockPtr dst = needs_existing ? data_->read_local_kind(selector)
-                                  : data_->write_local_kind(selector);
-    compute(*dst);
-    return;
+  // The window's pump-time resolution rule, waited on here. Callers hold
+  // no window entry, so no un-retired window put targets the block.
+  const BlockId id = selector.id();
+  const bool served = kind == ArrayKind::kServed;
+  const auto resolve_now = [&] {
+    return served ? resolve_served_operand(id) : resolve_dist_operand(id);
+  };
+  BlockPtr block = resolve_now();
+  if (block == nullptr) {
+    wait_until([&] { return (block = resolve_now()) != nullptr; },
+               served ? "served block" : "distributed block",
+               served ? WaitKind::kServed : WaitKind::kBlock);
   }
-  // Insertion: read-modify-write of the containing block.
-  BlockPtr container = data_->read_local_kind(selector);
-  const std::span<const int> origin = {
-      selector.slice_origin.data(), static_cast<std::size_t>(selector.rank)};
-  Block scratch = needs_existing
-                      ? slice(*container, origin, selector.shape())
-                      : Block(selector.shape());
-  compute(scratch);
-  insert(*container, origin, scratch);
+  return block;
 }
 
-BlockPtr Interpreter::permuted_for(BlockPtr src,
+BlockPtr Interpreter::permuted_for(const BlockPtr& src,
                                    std::span<const int> src_ids,
                                    std::span<const int> dst_ids,
                                    const BlockShape& dst_shape) {
@@ -402,56 +360,70 @@ BlockPtr Interpreter::permuted_for(BlockPtr src,
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Dataflow window (worker_threads >= 1).
-
 BlockPtr Interpreter::resolve_dist_operand(const BlockId& id) {
   // One of our own window puts still targets this block: its data is not
   // at the home yet (the send happens at the put's retire). Wait it out —
   // program-order retirement guarantees it lands before this entry needs
   // the operand.
   if (window_put_targets_.count(id) > 0) return nullptr;
-  if (shared_.owner_rank(id) == my_rank_) {
-    return dist_->try_read(id);  // throws if never put
-  }
-  if (BlockPtr block = dist_->try_read(id)) return block;  // throws on miss
-  if (!dist_->pending(id)) dist_->issue_get(id, /*implicit=*/true);
+  // In flight: the reply is what clears `pending`, so this check is all a
+  // waiting caller repeats.
+  if (dist_->pending(id)) return nullptr;
+  // Home block, cached copy, or (throws) a block that was never put.
+  if (BlockPtr block = dist_->try_read(id)) return block;
+  dist_->issue_get(id, /*implicit=*/true);
   return nullptr;
 }
 
 BlockPtr Interpreter::resolve_served_operand(const BlockId& id) {
   if (window_put_targets_.count(id) > 0) return nullptr;
   if (BlockPtr block = served_->try_read(id)) return block;
-  // Dedups while a demand fetch is in flight; promotes a pending
-  // look-ahead to demand priority (same as the serial fetch loop).
+  // Unconditional: a no-op while a demand fetch is in flight, but if only
+  // a look-ahead is pending this sends the demand request that promotes
+  // the server's queued read-ahead job — otherwise the worker would block
+  // at low priority behind every other rank's demand reads.
   served_->issue_request(id);
   return nullptr;
 }
 
-BlockSelector Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
-                                             std::shared_ptr<BlockPtr> slot,
-                                             const BlockOperand& operand) {
+// ---------------------------------------------------------------------
+// Block operations: binders and compute bodies shared by both engines.
+
+BlockSelector Interpreter::bind_read_operand(
+    DataflowExecutor::Entry* entry, const std::shared_ptr<void>& owner,
+    BlockPtr& slot, const BlockOperand& operand) {
   const BlockSelector selector = resolve(operand);
+  if (entry == nullptr) {
+    slot = fetch_base_block(selector);
+    return selector;
+  }
   const BlockId id = selector.id();
-  entry.reads.push_back(id);
-  const sial::ResolvedArray& array = program_.array(selector.array_id);
-  switch (array.kind) {
+  entry->reads.push_back(id);
+  // Parks the read until a pump resolves it into `slot`.
+  const auto park = [&](std::function<BlockPtr()> resolve_later) {
+    entry->pending_operands.push_back(DataflowExecutor::PendingOperand{
+        id, std::move(resolve_later),
+        [target = std::shared_ptr<BlockPtr>(owner, &slot)](BlockPtr block) {
+          *target = std::move(block);
+        }});
+  };
+  switch (program_.array(selector.array_id).kind) {
     case ArrayKind::kStatic:
     case ArrayKind::kTemp:
     case ArrayKind::kLocal:
       // Decode-time binding: the pointer snapshot plus the RAW dep on the
       // last window writer reproduce serial read-after-write semantics.
-      *slot = data_->read_local_kind(selector);
+      slot = data_->read_local_kind(selector);
       return selector;
     case ArrayKind::kDistributed:
       if (window_put_targets_.count(id) == 0) {
         if (shared_.owner_rank(id) == my_rank_) {
-          *slot = dist_->try_read(id);  // throws if never put
+          slot = dist_->try_read(id);  // throws if never put
           return selector;
         }
         dist_->issue_get(id, /*implicit=*/true);
         if (BlockPtr block = dist_->try_read(id)) {
-          *slot = std::move(block);
+          slot = std::move(block);
           return selector;
         }
         // The window stalls on this fetch: pull the prefetcher's
@@ -462,15 +434,13 @@ BlockSelector Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
           dist_->issue_get(candidate, /*implicit=*/true);
         }
       }
-      entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
-          id, [this, id] { return resolve_dist_operand(id); },
-          [slot](BlockPtr block) { *slot = std::move(block); }});
+      park([this, id] { return resolve_dist_operand(id); });
       return selector;
     case ArrayKind::kServed:
       if (window_put_targets_.count(id) == 0) {
         served_->issue_request(id);
         if (BlockPtr block = served_->try_read(id)) {
-          *slot = std::move(block);
+          slot = std::move(block);
           return selector;
         }
         // Stalled on the I/O server: queue the shared look-ahead
@@ -479,42 +449,103 @@ BlockSelector Interpreter::bind_read_operand(DataflowExecutor::Entry& entry,
           served_->issue_lookahead(candidate);
         }
       }
-      entry.pending_operands.push_back(DataflowExecutor::PendingOperand{
-          id, [this, id] { return resolve_served_operand(id); },
-          [slot](BlockPtr block) { *slot = std::move(block); }});
+      park([this, id] { return resolve_served_operand(id); });
       return selector;
   }
   throw InternalError("bind_read_operand: bad array kind");
 }
 
-void Interpreter::run_window_block_op(const Instruction& instr,
-                                      WindowOp& op, double scalar0) {
-  // Pool-thread body: pure block compute over decode-time captures. Must
-  // not touch data_/dist_/served_/profiler (interpreter-thread state);
-  // pool_ allocation is thread safe.
-  const auto src_of = [&](std::size_t slot) -> BlockPtr {
-    const BlockSelector& sel = op.src_sel[slot];
-    BlockPtr base = op.src[slot];
-    if (!sel.sliced) return base;
-    return std::make_shared<Block>(
-        slice(*base,
-              {sel.slice_origin.data(), static_cast<std::size_t>(sel.rank)},
-              sel.shape()));
-  };
-  const auto with_dst = [&](bool needs_existing,
-                            const std::function<void(Block&)>& compute) {
-    if (!op.dst_selector.sliced) {
+void Interpreter::bind_block_op(const Instruction& instr, BlockOp& op,
+                                DataflowExecutor::Entry* entry,
+                                const std::shared_ptr<void>& owner) {
+  // block_dot has no destination: both of its blocks are sources.
+  const std::size_t first = instr.op == Opcode::kBlockDot ? 0 : 1;
+  if (entry == nullptr) batch_issue_gets(instr, first);
+  if (first == 1) op.dst_selector = resolve(instr.blocks[0]);
+  // Sources bind before the destination so a self-referencing op
+  // (tmp = tmp * x) captures the pre-instruction block even when the
+  // destination is renamed below.
+  for (std::size_t i = first; i < instr.blocks.size(); ++i) {
+    op.src_sel[i - first] =
+        bind_read_operand(entry, owner, op.src[i - first], instr.blocks[i]);
+  }
+
+  bool needs_existing = false;
+  switch (instr.op) {
+    case Opcode::kBlockDot:
+    case Opcode::kPut:
+    case Opcode::kPrepare:
+      return;  // nothing local is written
+    case Opcode::kBlockScalarOp:
+    case Opcode::kBlockCopy:
+    case Opcode::kBlockScaledCopy:
+      needs_existing = instr.a0 != kModeAssign;
+      break;
+    case Opcode::kBlockBinary:
+      needs_existing = instr.a0 == kModeAcc;
+      break;
+    default:
+      throw InternalError("bind_block_op: bad opcode");
+  }
+  // In the window, a full overwrite of an unsliced temp is
+  // register-renamed to fresh storage: without this, the single physical
+  // block behind a loop-reused temp (do k { tmp = A*B; put C += tmp })
+  // WAW-chains every iteration and the pool runs one contraction at a
+  // time. With static dataflow sets (-O1 and above) the compile-time
+  // proof decides; otherwise fall back to the dynamic discovery. Both
+  // rules agree wherever the static analysis claims renamability.
+  const BlockSelector& dst = op.dst_selector;
+  const bool renamed =
+      entry != nullptr && !dst.sliced &&
+      (program_.code().analyzed
+           ? instr.renames_dst
+           : !needs_existing &&
+                 program_.array(dst.array_id).kind == ArrayKind::kTemp);
+  if (!dst.sliced) {
+    op.dst = needs_existing ? data_->read_local_kind(dst)
+             : renamed      ? data_->rename_local(dst)
+                            : data_->write_local_kind(dst);
+  } else {
+    // Insertion: a read-modify-write of the containing block.
+    op.container = data_->read_local_kind(dst);
+  }
+  if (entry == nullptr) return;
+  if (renamed) {
+    entry->renamed_writes.push_back(dst.id());
+  } else {
+    entry->writes.push_back(dst.id());
+  }
+  // A sliced write is a read-modify-write of the container, and an
+  // accumulate reads its target: both add a read so the RAW rule chains
+  // same-target updates in program order.
+  if (needs_existing || dst.sliced) entry->reads.push_back(dst.id());
+}
+
+const BlockPtr& Interpreter::source(const BlockOp& op, std::size_t i,
+                                    BlockPtr& cut) {
+  const BlockSelector& sel = op.src_sel[i];
+  if (!sel.sliced) return op.src[i];
+  cut = std::make_shared<Block>(
+      slice(*op.src[i], origin_of(sel), sel.shape()));
+  return cut;
+}
+
+void Interpreter::run_block_op(const Instruction& instr, BlockOp& op,
+                               double scalar0) {
+  // Pure block compute over bound operands, on a pool thread or at
+  // issue. Must not touch data_/dist_/served_/profiler (interpreter-thread
+  // state); pool_ allocation is thread safe.
+  const auto with_dst = [&](bool needs_existing, const auto& compute) {
+    const BlockSelector& dst = op.dst_selector;
+    if (!dst.sliced) {
       compute(*op.dst);
       return;
     }
-    const std::span<const int> origin = {
-        op.dst_selector.slice_origin.data(),
-        static_cast<std::size_t>(op.dst_selector.rank)};
     Block scratch = needs_existing
-                        ? slice(*op.container, origin, op.dst_selector.shape())
-                        : Block(op.dst_selector.shape());
+                        ? slice(*op.container, origin_of(dst), dst.shape())
+                        : Block(dst.shape());
     compute(scratch);
-    insert(*op.container, origin, scratch);
+    insert(*op.container, origin_of(dst), scratch);
   };
 
   switch (instr.op) {
@@ -540,38 +571,41 @@ void Interpreter::run_window_block_op(const Instruction& instr,
           throw InternalError("bad block scalar mode");
       }
     case Opcode::kBlockCopy: {
-      BlockPtr src = src_of(0);
+      BlockPtr cut;
+      const Block& src = *source(op, 0, cut);
       const CopyMode mode = instr.a0 == kModeAssign ? CopyMode::kAssign
                             : instr.a0 == kModeAcc  ? CopyMode::kAccumulate
                                                     : CopyMode::kSubtract;
       with_dst(mode != CopyMode::kAssign, [&](Block& dst_block) {
-        block_copy_permute(dst_block, ids_of(instr.blocks[0]), *src,
+        block_copy_permute(dst_block, ids_of(instr.blocks[0]), src,
                            ids_of(instr.blocks[1]), mode,
                            shared_.config.sparse_threshold);
       });
       return;
     }
     case Opcode::kBlockBinary: {
-      BlockPtr a = src_of(0);
-      BlockPtr b = src_of(1);
+      BlockPtr cut_a, cut_b;
+      const Block& a = *source(op, 0, cut_a);
+      const Block& b = *source(op, 1, cut_b);
       const bool accumulate = instr.a0 == kModeAcc;
       const auto bin_op = static_cast<sial::BinOp>(instr.a1);
       with_dst(accumulate, [&](Block& dst_block) {
         if (bin_op == sial::BinOp::kMul) {
-          block_contract(dst_block, ids_of(instr.blocks[0]), *a,
-                         ids_of(instr.blocks[1]), *b,
+          block_contract(dst_block, ids_of(instr.blocks[0]), a,
+                         ids_of(instr.blocks[1]), b,
                          ids_of(instr.blocks[2]), accumulate,
                          shared_.config.sparse_threshold);
         } else {
-          block_add(dst_block, ids_of(instr.blocks[0]), *a,
-                    ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
+          block_add(dst_block, ids_of(instr.blocks[0]), a,
+                    ids_of(instr.blocks[1]), b, ids_of(instr.blocks[2]),
                     bin_op == sial::BinOp::kSub, accumulate);
         }
       });
       return;
     }
     case Opcode::kBlockScaledCopy: {
-      BlockPtr src = src_of(0);
+      BlockPtr cut;
+      const BlockPtr& src = source(op, 0, cut);
       with_dst(instr.a0 != kModeAssign, [&](Block& dst_block) {
         BlockPtr permuted =
             permuted_for(src, ids_of(instr.blocks[1]),
@@ -597,72 +631,45 @@ void Interpreter::run_window_block_op(const Instruction& instr,
       return;
     }
     default:
-      throw InternalError("run_window_block_op: bad opcode");
+      throw InternalError("run_block_op: bad opcode");
   }
 }
 
-void Interpreter::window_block_op(const Instruction& instr, double scalar0) {
+BlockPtr Interpreter::put_payload(const Instruction& instr,
+                                  const BlockOp& op, bool served) {
+  BlockPtr cut;
+  BlockPtr shaped =
+      permuted_for(source(op, 0, cut), ids_of(instr.blocks[1]),
+                   ids_of(instr.blocks[0]), op.dst_selector.shape());
+  if (shaped->size() != op.dst_selector.shape().element_count()) {
+    throw RuntimeError(std::string(served ? "prepare" : "put") +
+                       ": block shape mismatch");
+  }
+  return shaped;
+}
+
+void Interpreter::send_put(const BlockId& target, BlockPtr payload,
+                           bool accumulate, bool served) {
+  // Hand the shared_ptr over: when `payload` is the last reference (the
+  // common permuted-copy case) the manager ships it zero-copy.
+  if (served) {
+    served_->prepare(target, std::move(payload), accumulate);
+  } else {
+    dist_->put(target, std::move(payload), accumulate);
+  }
+}
+
+void Interpreter::exec_block_op(const Instruction& instr, double scalar0) {
+  if (executor_ == nullptr) {
+    BlockOp op;
+    bind_block_op(instr, op, /*entry=*/nullptr, /*owner=*/nullptr);
+    run_block_op(instr, op, scalar0);
+    return;
+  }
   DataflowExecutor::Entry entry;
   entry.pc = pc_;
-  auto op = std::make_shared<WindowOp>();
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  op->dst_selector = dst;
-
-  bool needs_existing = false;
-  switch (instr.op) {
-    case Opcode::kBlockScalarOp:
-      needs_existing = instr.a0 != kModeAssign;
-      break;
-    case Opcode::kBlockCopy:
-    case Opcode::kBlockScaledCopy:
-      needs_existing = instr.a0 != kModeAssign;
-      break;
-    case Opcode::kBlockBinary:
-      needs_existing = instr.a0 == kModeAcc;
-      break;
-    default:
-      throw InternalError("window_block_op: bad opcode");
-  }
-
-  // Sources bind before the destination so a self-referencing op
-  // (tmp = tmp * x) captures the pre-instruction block even when the
-  // destination is renamed below.
-  for (std::size_t i = 1; i < instr.blocks.size(); ++i) {
-    op->src_sel[i - 1] = bind_read_operand(
-        entry, std::shared_ptr<BlockPtr>(op, &op->src[i - 1]),
-        instr.blocks[i]);
-  }
-
-  // Destination binding mirrors with_write_block, split across decode
-  // (pointer resolution, here) and execute (the compute, on the pool).
-  // A full overwrite of an unsliced temp is register-renamed to fresh
-  // storage: without this, the single physical block behind a loop-reused
-  // temp (do k { tmp = A*B; put C += tmp }) WAW-chains every iteration
-  // and the pool runs one contraction at a time.
-  // With static dataflow sets (-O1 and above) the compile-time proof
-  // decides; otherwise fall back to the dynamic discovery. Both rules
-  // agree wherever the static analysis claims renamability.
-  const bool renamed =
-      program_.code().analyzed
-          ? instr.renames_dst && !dst.sliced
-          : !needs_existing && !dst.sliced &&
-                program_.array(dst.array_id).kind == sial::ArrayKind::kTemp;
-  if (!dst.sliced) {
-    op->dst = needs_existing ? data_->read_local_kind(dst)
-              : renamed      ? data_->rename_local(dst)
-                             : data_->write_local_kind(dst);
-  } else {
-    op->container = data_->read_local_kind(dst);
-  }
-  if (renamed) {
-    entry.renamed_writes.push_back(dst.id());
-  } else {
-    entry.writes.push_back(dst.id());
-  }
-  // A sliced write is a read-modify-write of the container, and an
-  // accumulate reads its target: both add a read so the RAW rule chains
-  // same-target updates in program order.
-  if (needs_existing || dst.sliced) entry.reads.push_back(dst.id());
+  auto op = std::make_shared<BlockOp>();
+  bind_block_op(instr, *op, &entry, op);
 
   // Decode-time screening: an accumulate-mode contraction whose operands
   // are both bound already (local/cached, no fetch pending) and whose
@@ -685,23 +692,26 @@ void Interpreter::window_block_op(const Instruction& instr, double scalar0) {
   } else {
     const Instruction* ip = &instr;  // program code is stable for the run
     entry.execute = [this, ip, op, scalar0] {
-      run_window_block_op(*ip, *op, scalar0);
+      run_block_op(*ip, *op, scalar0);
     };
   }
   enqueue_entry(std::move(entry));
 }
 
-void Interpreter::window_put(const Instruction& instr, bool served) {
+void Interpreter::exec_put_prepare(const Instruction& instr, bool served) {
+  const bool accumulate = instr.a0 == 1;
+  if (executor_ == nullptr) {
+    BlockOp op;
+    bind_block_op(instr, op, /*entry=*/nullptr, /*owner=*/nullptr);
+    send_put(op.dst_selector.id(), put_payload(instr, op, served),
+             accumulate, served);
+    return;
+  }
   DataflowExecutor::Entry entry;
   entry.pc = pc_;
-  auto op = std::make_shared<WindowOp>();
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  op->dst_selector = dst;
-  op->src_sel[0] = bind_read_operand(
-      entry, std::shared_ptr<BlockPtr>(op, &op->src[0]), instr.blocks[1]);
-
-  const bool accumulate = instr.a0 == 1;
-  const BlockId target = dst.id();
+  auto op = std::make_shared<BlockOp>();
+  bind_block_op(instr, *op, &entry, op);
+  const BlockId target = op->dst_selector.id();
   ++window_put_targets_[target];
 
   const Instruction* ip = &instr;
@@ -710,22 +720,7 @@ void Interpreter::window_put(const Instruction& instr, bool served) {
   // effect, so the fabric sees the exact serial message sequence and the
   // coalescing shadow table merges in serial order.
   entry.execute = [this, ip, op, served] {
-    const BlockSelector& sel = op->src_sel[0];
-    BlockPtr src = op->src[0];
-    if (sel.sliced) {
-      src = std::make_shared<Block>(
-          slice(*src,
-                {sel.slice_origin.data(),
-                 static_cast<std::size_t>(sel.rank)},
-                sel.shape()));
-    }
-    BlockPtr shaped =
-        permuted_for(std::move(src), ids_of(ip->blocks[1]),
-                     ids_of(ip->blocks[0]), op->dst_selector.shape());
-    if (shaped->size() != op->dst_selector.shape().element_count()) {
-      throw RuntimeError(std::string(served ? "prepare" : "put") +
-                         ": block shape mismatch");
-    }
+    BlockPtr shaped = put_payload(*ip, *op, served);
     if (shaped.get() == op->src[0].get()) {
       // Identity permute: the payload aliases the source block, which a
       // later window writer may overwrite once its WAR dependency on this
@@ -740,11 +735,7 @@ void Interpreter::window_put(const Instruction& instr, bool served) {
     op->put_payload = std::move(shaped);
   };
   entry.retire = [this, op, target, accumulate, served] {
-    if (served) {
-      served_->prepare(target, std::move(op->put_payload), accumulate);
-    } else {
-      dist_->put(target, std::move(op->put_payload), accumulate);
-    }
+    send_put(target, std::move(op->put_payload), accumulate, served);
     auto it = window_put_targets_.find(target);
     if (it != window_put_targets_.end() && --it->second <= 0) {
       window_put_targets_.erase(it);
@@ -753,29 +744,8 @@ void Interpreter::window_put(const Instruction& instr, bool served) {
   enqueue_entry(std::move(entry));
 }
 
-void Interpreter::window_execute(const Instruction& instr) {
-  const SuperInstruction& si = superinstruction(instr);
-  DataflowExecutor::Entry entry;
-  entry.pc = pc_;
-  entry.run_inline = true;
-  std::shared_ptr<ExecCall> call = bind_execute(instr, si, &entry);
-  const SuperInstructionFn* fn = &si.fn;
-  entry.execute = [this, fn, call] { run_execute(*fn, *call); };
-  enqueue_entry(std::move(entry));
-
-  // Wait for this entry's own hazards and operands only, servicing the
-  // fabric meanwhile; the pool keeps working on earlier entries.
-  while (!executor_->inline_runnable()) {
-    shared_.check_abort();
-    service_messages();
-    executor_->pump();
-    if (!executor_->inline_runnable()) executor_->wait_progress(2);
-  }
-  // Scalar arguments and printing take effect here, in program order.
-  // A failure is rethrown when the entry retires: drain to surface it
-  // behind any earlier entry's error.
-  if (!executor_->run_inline()) drain_window();
-}
+// ---------------------------------------------------------------------
+// Dataflow window (worker_threads >= 1).
 
 void Interpreter::enqueue_entry(DataflowExecutor::Entry entry) {
   while (executor_->window_full()) {
@@ -1002,100 +972,11 @@ void Interpreter::exec_do_end(const Instruction& instr) {
 }
 
 // ---------------------------------------------------------------------
-// Block instructions.
-
-void Interpreter::exec_block_scalar_op(const Instruction& instr) {
-  const double value = pop();
-  const BlockSelector selector = resolve(instr.blocks[0]);
-  switch (instr.a0) {
-    case kModeAssign:
-      with_write_block(selector, false,
-                       [&](Block& dst) { blas::fill(dst.data(), value); });
-      return;
-    case kModeAcc:
-      with_write_block(selector, true,
-                       [&](Block& dst) { blas::shift(dst.data(), value); });
-      return;
-    case kModeSub:
-      with_write_block(selector, true,
-                       [&](Block& dst) { blas::shift(dst.data(), -value); });
-      return;
-    case kModeScale:
-      with_write_block(selector, true,
-                       [&](Block& dst) { blas::scal(dst.data(), value); });
-      return;
-    default:
-      throw InternalError("bad block scalar mode");
-  }
-}
-
-void Interpreter::exec_block_copy(const Instruction& instr) {
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  BlockPtr src = read_operand(instr.blocks[1]);
-  const CopyMode mode = instr.a0 == kModeAssign   ? CopyMode::kAssign
-                        : instr.a0 == kModeAcc    ? CopyMode::kAccumulate
-                                                  : CopyMode::kSubtract;
-  with_write_block(dst, mode != CopyMode::kAssign, [&](Block& dst_block) {
-    block_copy_permute(dst_block, ids_of(instr.blocks[0]), *src,
-                       ids_of(instr.blocks[1]), mode,
-                       shared_.config.sparse_threshold);
-  });
-}
-
-void Interpreter::exec_block_binary(const Instruction& instr) {
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  BlockPtr a = read_operand(instr.blocks[1]);
-  BlockPtr b = read_operand(instr.blocks[2]);
-  const bool accumulate = instr.a0 == kModeAcc;
-  const auto op = static_cast<sial::BinOp>(instr.a1);
-
-  with_write_block(dst, accumulate, [&](Block& dst_block) {
-    if (op == sial::BinOp::kMul) {
-      block_contract(dst_block, ids_of(instr.blocks[0]), *a,
-                     ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
-                     accumulate, shared_.config.sparse_threshold);
-    } else {
-      block_add(dst_block, ids_of(instr.blocks[0]), *a,
-                ids_of(instr.blocks[1]), *b, ids_of(instr.blocks[2]),
-                op == sial::BinOp::kSub, accumulate);
-    }
-  });
-}
-
-void Interpreter::exec_block_scaled_copy(const Instruction& instr) {
-  const double coefficient = pop();
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  BlockPtr src = read_operand(instr.blocks[1]);
-
-  with_write_block(dst, instr.a0 != kModeAssign, [&](Block& dst_block) {
-    BlockPtr permuted =
-        permuted_for(src, ids_of(instr.blocks[1]), ids_of(instr.blocks[0]),
-                     dst_block.shape());
-    auto src_span = permuted->data();
-    auto dst_span = dst_block.data();
-    switch (instr.a0) {
-      case kModeAssign:
-        for (std::size_t i = 0; i < dst_span.size(); ++i) {
-          dst_span[i] = coefficient * src_span[i];
-        }
-        return;
-      case kModeAcc:
-        blas::axpy(coefficient, src_span, dst_span);
-        return;
-      case kModeSub:
-        blas::axpy(-coefficient, src_span, dst_span);
-        return;
-      default:
-        throw InternalError("bad scaled copy mode");
-    }
-  });
-}
-
-// ---------------------------------------------------------------------
 // Communication instructions.
 
 std::vector<LoopContext> Interpreter::loop_contexts() const {
   std::vector<LoopContext> loops;
+  loops.reserve(frames_.size());
   for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
     LoopContext loop;
     if (it->kind == Frame::Kind::kDo) {
@@ -1122,29 +1003,42 @@ std::vector<BlockId> Interpreter::lookahead_candidates(
   const std::vector<LoopContext> loops = loop_contexts();
   // Blocks one of our own un-retired puts targets must not be requested:
   // the fetch would race the put's retire-time send. Skipping (rather
-  // than deferring) a speculative fetch is always safe.
-  const auto excluded = [this](const BlockId& id) {
-    return executor_ != nullptr && window_put_targets_.count(id) > 0;
-  };
+  // than deferring) a speculative fetch is always safe. With no put in
+  // flight there is nothing to filter.
+  std::function<bool(const BlockId&)> excluded;
+  if (!window_put_targets_.empty()) {
+    excluded = [this](const BlockId& id) {
+      return window_put_targets_.count(id) > 0;
+    };
+  }
   return lookahead_read_set(program_, operand, data_->index_values(), loops,
                             shared_.config.prefetch_depth, excluded);
 }
 
-void Interpreter::exec_get(const Instruction& instr) {
-  const BlockSelector selector = resolve(instr.blocks[0]);
-  const BlockId id = selector.id();
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    // Read-your-own-write across the window: an un-retired put targets
-    // this block, so the get request must not reach the home before that
-    // put's data. Defer the issue to a retire-only window entry —
-    // program-order retirement runs it right after the put's send.
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    entry.retire = [this, id] { dist_->issue_get(id); };
-    enqueue_entry(std::move(entry));
-  } else {
-    dist_->issue_get(id);
+void Interpreter::issue_fetch(const BlockId& id, bool served) {
+  const auto issue = [this, id, served] {
+    if (served) {
+      served_->issue_request(id);
+    } else {
+      dist_->issue_get(id);
+    }
+  };
+  if (window_put_targets_.count(id) == 0) {
+    issue();
+    return;
   }
+  // Read-your-own-write across the window: an un-retired put targets this
+  // block, so the fetch must not reach the home (or server) before that
+  // put's data. Defer the issue to a retire-only window entry —
+  // program-order retirement runs it right after the put's send.
+  DataflowExecutor::Entry entry;
+  entry.pc = pc_;
+  entry.retire = issue;
+  enqueue_entry(std::move(entry));
+}
+
+void Interpreter::exec_get(const Instruction& instr) {
+  issue_fetch(resolve(instr.blocks[0]).id(), /*served=*/false);
 
   // Look ahead along the enclosing loops (paper §V-A).
   for (const BlockId& candidate : lookahead_candidates(instr.blocks[0])) {
@@ -1153,16 +1047,7 @@ void Interpreter::exec_get(const Instruction& instr) {
 }
 
 void Interpreter::exec_request(const Instruction& instr) {
-  const BlockSelector selector = resolve(instr.blocks[0]);
-  const BlockId id = selector.id();
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    entry.retire = [this, id] { served_->issue_request(id); };
-    enqueue_entry(std::move(entry));
-  } else {
-    served_->issue_request(id);
-  }
+  issue_fetch(resolve(instr.blocks[0]).id(), /*served=*/true);
 
   // Served-array look-ahead, mirroring exec_get: speculative requests for
   // the next iterations become low-priority read-ahead jobs at the I/O
@@ -1193,24 +1078,9 @@ void Interpreter::exec_prefetch(const Instruction& instr) {
   }
   if (first > last) return;
 
-  const BlockId id = resolve(instr.blocks[0]).id();
-  const bool served = program_.array(instr.blocks[0].array_id).kind ==
-                      sial::ArrayKind::kServed;
-  if (executor_ != nullptr && window_put_targets_.count(id) > 0) {
-    // Same read-your-own-write deferral as exec_get/exec_request.
-    DataflowExecutor::Entry entry;
-    entry.pc = pc_;
-    if (served) {
-      entry.retire = [this, id] { served_->issue_request(id); };
-    } else {
-      entry.retire = [this, id] { dist_->issue_get(id); };
-    }
-    enqueue_entry(std::move(entry));
-  } else if (served) {
-    served_->issue_request(id);
-  } else {
-    dist_->issue_get(id);
-  }
+  issue_fetch(resolve(instr.blocks[0]).id(),
+              program_.array(instr.blocks[0].array_id).kind ==
+                  ArrayKind::kServed);
 }
 
 void Interpreter::batch_issue_gets(const Instruction& instr,
@@ -1230,30 +1100,6 @@ void Interpreter::batch_issue_gets(const Instruction& instr,
   for (const sial::ExecOperand& earg : instr.eargs) {
     if (earg.kind == sial::ExecOperand::Kind::kBlock) issue(earg.block);
   }
-}
-
-void Interpreter::exec_put(const Instruction& instr) {
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  BlockPtr src = read_operand(instr.blocks[1]);
-  BlockPtr shaped = permuted_for(src, ids_of(instr.blocks[1]),
-                                 ids_of(instr.blocks[0]), dst.shape());
-  if (shaped->size() != dst.shape().element_count()) {
-    throw RuntimeError("put: block shape mismatch");
-  }
-  // Hand the shared_ptr over: when `shaped` is the last reference (the
-  // common permuted-copy case) the manager ships it zero-copy.
-  dist_->put(dst.id(), std::move(shaped), instr.a0 == 1);
-}
-
-void Interpreter::exec_prepare(const Instruction& instr) {
-  const BlockSelector dst = resolve(instr.blocks[0]);
-  BlockPtr src = read_operand(instr.blocks[1]);
-  BlockPtr shaped = permuted_for(src, ids_of(instr.blocks[1]),
-                                 ids_of(instr.blocks[0]), dst.shape());
-  if (shaped->size() != dst.shape().element_count()) {
-    throw RuntimeError("prepare: block shape mismatch");
-  }
-  served_->prepare(dst.id(), std::move(shaped), instr.a0 == 1);
 }
 
 void Interpreter::exec_allocate(const Instruction& instr, bool allocate) {
@@ -1307,12 +1153,38 @@ const SuperInstruction& Interpreter::superinstruction(
 
 void Interpreter::exec_execute(const Instruction& instr) {
   const SuperInstruction& si = superinstruction(instr);
-  run_execute(si.fn, *bind_execute(instr, si, /*entry=*/nullptr));
+  if (executor_ == nullptr) {
+    run_execute(si.fn, *bind_execute(instr, si, /*entry=*/nullptr));
+    return;
+  }
+  // An inline window entry: it waits only for its own hazards and
+  // operands, never for the whole window.
+  DataflowExecutor::Entry entry;
+  entry.pc = pc_;
+  entry.run_inline = true;
+  std::shared_ptr<ExecCall> call = bind_execute(instr, si, &entry);
+  const SuperInstructionFn* fn = &si.fn;
+  entry.execute = [this, fn, call] { run_execute(*fn, *call); };
+  enqueue_entry(std::move(entry));
+
+  // Service the fabric while waiting; the pool keeps working on earlier
+  // entries.
+  while (!executor_->inline_runnable()) {
+    shared_.check_abort();
+    service_messages();
+    executor_->pump();
+    if (!executor_->inline_runnable()) executor_->wait_progress(2);
+  }
+  // Scalar arguments and printing take effect here, in program order.
+  // A failure is rethrown when the entry retires: drain to surface it
+  // behind any earlier entry's error.
+  if (!executor_->run_inline()) drain_window();
 }
 
 std::shared_ptr<Interpreter::ExecCall> Interpreter::bind_execute(
     const Instruction& instr, const SuperInstruction& si,
     DataflowExecutor::Entry* entry) {
+  if (entry == nullptr) batch_issue_gets(instr, 0);
   const std::size_t n = instr.eargs.size();
   auto call = std::make_shared<ExecCall>();
   call->values.resize(n);
@@ -1350,13 +1222,7 @@ std::shared_ptr<Interpreter::ExecCall> Interpreter::bind_execute(
     const ArrayKind kind = program_.array(sel.array_id).kind;
     if (kind == ArrayKind::kDistributed || kind == ArrayKind::kServed) {
       // Read-only, whatever the declared access.
-      if (entry == nullptr) {
-        call->remote[i] = fetch_base_block(sel);
-      } else {
-        bind_read_operand(*entry,
-                          std::shared_ptr<BlockPtr>(call, &call->remote[i]),
-                          instr.eargs[i].block);
-      }
+      bind_read_operand(entry, call, call->remote[i], instr.eargs[i].block);
       continue;
     }
     if (sel.sliced) {
@@ -1370,7 +1236,7 @@ std::shared_ptr<Interpreter::ExecCall> Interpreter::bind_execute(
     }
     const ArgAccess access = si.access_of(i);
     // A full overwrite of an unsliced temp gets fresh storage in the
-    // window, exactly like window_block_op's destination — unless another
+    // window, exactly like bind_block_op's destination — unless another
     // argument names the same block and would see the renamed storage.
     if (entry != nullptr && access == ArgAccess::kWrite &&
         kind == ArrayKind::kTemp &&
@@ -1390,10 +1256,6 @@ std::shared_ptr<Interpreter::ExecCall> Interpreter::bind_execute(
 }
 
 void Interpreter::run_execute(const SuperInstructionFn& fn, ExecCall& call) {
-  const auto origin_of = [](const BlockSelector& sel) {
-    return std::span<const int>(sel.slice_origin.data(),
-                                static_cast<std::size_t>(sel.rank));
-  };
   for (std::size_t i = 0; i < call.values.size(); ++i) {
     ExecArgValue& value = call.values[i];
     const BlockSelector& sel = value.selector;
@@ -1649,11 +1511,11 @@ void Interpreter::step() {
       // Reduces into the scalar stack, which later scan-time instructions
       // consume: serialize with the window.
       drain_window();
-      batch_issue_gets(instr, 0);
-      BlockPtr a = read_operand(instr.blocks[0]);
-      BlockPtr b = read_operand(instr.blocks[1]);
-      push(block_dot(*a, ids_of(instr.blocks[0]), *b,
-                     ids_of(instr.blocks[1]),
+      BlockOp op;
+      bind_block_op(instr, op, /*entry=*/nullptr, /*owner=*/nullptr);
+      BlockPtr cut_a, cut_b;
+      push(block_dot(*source(op, 0, cut_a), ids_of(instr.blocks[0]),
+                     *source(op, 1, cut_b), ids_of(instr.blocks[1]),
                      shared_.config.sparse_threshold));
       ++pc_;
       return;
@@ -1678,38 +1540,13 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kBlockScalarOp:
-      if (executor_) {
-        window_block_op(instr, pop());
-      } else {
-        exec_block_scalar_op(instr);
-      }
+    case Opcode::kBlockScaledCopy:
+      exec_block_op(instr, pop());
       ++pc_;
       return;
     case Opcode::kBlockCopy:
-      if (executor_) {
-        window_block_op(instr, 0.0);
-      } else {
-        batch_issue_gets(instr, 1);  // dst (index 0) is a local-kind write
-        exec_block_copy(instr);
-      }
-      ++pc_;
-      return;
     case Opcode::kBlockBinary:
-      if (executor_) {
-        window_block_op(instr, 0.0);
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_block_binary(instr);
-      }
-      ++pc_;
-      return;
-    case Opcode::kBlockScaledCopy:
-      if (executor_) {
-        window_block_op(instr, pop());
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_block_scaled_copy(instr);
-      }
+      exec_block_op(instr, 0.0);
       ++pc_;
       return;
     case Opcode::kGet:
@@ -1725,21 +1562,11 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kPut:
-      if (executor_) {
-        window_put(instr, /*served=*/false);
-      } else {
-        batch_issue_gets(instr, 1);  // source may itself be remote
-        exec_put(instr);
-      }
+      exec_put_prepare(instr, /*served=*/false);
       ++pc_;
       return;
     case Opcode::kPrepare:
-      if (executor_) {
-        window_put(instr, /*served=*/true);
-      } else {
-        batch_issue_gets(instr, 1);
-        exec_prepare(instr);
-      }
+      exec_put_prepare(instr, /*served=*/true);
       ++pc_;
       return;
     case Opcode::kAllocate:
@@ -1763,14 +1590,7 @@ void Interpreter::step() {
       ++pc_;
       return;
     case Opcode::kExecute:
-      // Windowed: an inline entry that waits on its own block hazards
-      // only, never on the whole window.
-      if (executor_) {
-        window_execute(instr);
-      } else {
-        batch_issue_gets(instr, 0);  // block operands live in eargs
-        exec_execute(instr);
-      }
+      exec_execute(instr);
       ++pc_;
       return;
     case Opcode::kSipBarrier:

@@ -48,7 +48,8 @@ class Interpreter {
   BlockPool& pool() { return *pool_; }
   Profiler& profiler() { return profiler_; }
   int worker_index() const { return worker_index_; }
-  // Null when worker_threads resolves to 0 (legacy serial path).
+  // Null when worker_threads resolves to 0: every op then runs at issue,
+  // through the same binders and compute bodies, with no window entry.
   const DataflowExecutor* executor() const { return executor_.get(); }
   // Null when the reliable protocol is off.
   const msg::ReliableChannel* channel() const { return channel_.get(); }
@@ -83,15 +84,14 @@ class Interpreter {
   void exec_pardo_end(const sial::Instruction& instr);
   void exec_do_start(const sial::Instruction& instr);
   void exec_do_end(const sial::Instruction& instr);
-  void exec_block_scalar_op(const sial::Instruction& instr);
-  void exec_block_copy(const sial::Instruction& instr);
-  void exec_block_binary(const sial::Instruction& instr);
-  void exec_block_scaled_copy(const sial::Instruction& instr);
   void exec_get(const sial::Instruction& instr);
   void exec_request(const sial::Instruction& instr);
   // Optimizer-hoisted loop-invariant fetch (kPrefetch): non-blocking
   // get/request with a zero-trip guard on the hoisted loop's bounds.
   void exec_prefetch(const sial::Instruction& instr);
+  // Issues the get (or served request) for `id`; deferred to a
+  // retire-only window entry while an un-retired window put targets it.
+  void issue_fetch(const BlockId& id, bool served);
   // Snapshot of the enclosing do/pardo loops, innermost first, for
   // prefetch_candidates (shared by exec_get and exec_request look-ahead).
   std::vector<LoopContext> loop_contexts() const;
@@ -101,12 +101,11 @@ class Interpreter {
   // Gated by config.batch_gets.
   void batch_issue_gets(const sial::Instruction& instr,
                         std::size_t first_block);
-  void exec_put(const sial::Instruction& instr);
-  void exec_prepare(const sial::Instruction& instr);
   void exec_allocate(const sial::Instruction& instr, bool allocate);
+  // Under the window `execute` is an inline entry: it waits for its own
+  // hazards and operands only and runs on this thread (see executor.hpp).
   void exec_execute(const sial::Instruction& instr);
-  // Bound arguments of one `execute`, shared by the serial and window
-  // paths. `remote` holds the base block of a distributed/served argument
+  // Bound arguments of one `execute`, shared by both engines. `remote` holds the base block of a distributed/served argument
   // (cloned at run time), `containers` the containing block of a sliced
   // local argument (cut at run time and inserted back afterwards).
   struct ExecCall {
@@ -114,11 +113,12 @@ class Interpreter {
     std::vector<BlockPtr> remote;      // by argument position
     std::vector<BlockPtr> containers;  // by argument position
   };
-  // Binds the arguments of `execute`. With `entry` null (serial engine)
-  // remote blocks are fetched now. Otherwise each block argument records
-  // its hazards in `entry` under the declared access: remote arguments
-  // become operands of the entry, sliced ones a read-modify-write of
-  // their container, and a declared `write` temp is renamed.
+  // Binds the arguments of `execute`. With `entry` null remote blocks are
+  // fetched now (see bind_read_operand). Otherwise each block argument
+  // records its hazards in `entry` under the declared access: remote
+  // arguments become operands of the entry, sliced ones a
+  // read-modify-write of their container, and a declared `write` temp is
+  // renamed.
   std::shared_ptr<ExecCall> bind_execute(const sial::Instruction& instr,
                                          const SuperInstruction& si,
                                          DataflowExecutor::Entry* entry);
@@ -130,47 +130,60 @@ class Interpreter {
   void exec_checkpoint(const sial::Instruction& instr, bool restore);
 
   // ------------------------------------------------------------------
-  // Dataflow executor (worker_threads >= 1): decode-at-enqueue window.
+  // Block operations. Each op has one binder and one compute body, and
+  // the two engines differ only in whether a bound op is enqueued or run
+  // at once. A binder called with a window entry (worker_threads >= 1)
+  // records the op's hazards in it, renames full temp overwrites, and
+  // leaves remote blocks that have not arrived as pending operands.
+  // Called with no entry (worker_threads = 0, or an op that runs at
+  // issue, such as block_dot) it fetches remote blocks now, renames
+  // nothing, and snapshots no put payload.
   //
-  // The interpreter thread scans ahead over the straight-line region,
-  // resolving selectors and binding local block pointers *in program
-  // order* (decode-time binding renames destinations, so captures behave
-  // like serial snapshots), then hands the heavy block work to the pool.
-  // Scalar and control-flow opcodes still execute at scan time — they
-  // never enter the window, which is what lets the window span inner
-  // do-loop iterations.
+  // Under the window the interpreter thread scans ahead over the
+  // straight-line region, binding *in program order* (decode-time
+  // renaming makes captures behave like serial snapshots), and hands the
+  // heavy block work to the pool. Scalar and control-flow opcodes still
+  // execute at scan time — they never enter the window, which is what
+  // lets the window span inner do-loop iterations.
 
-  // Per-entry closure state shared by decode, execute, and retire.
-  struct WindowOp {
+  // The bound operands of one block op. Held on the stack when the op
+  // runs at issue, shared with the entry's closures otherwise.
+  struct BlockOp {
     sial::BlockSelector dst_selector;
     BlockPtr dst;        // unsliced destination binding
     BlockPtr container;  // sliced destination: containing block
-    std::array<BlockPtr, 4> src{};        // operand base blocks
-    std::array<sial::BlockSelector, 4> src_sel{};
-    BlockPtr put_payload;  // produced by execute, shipped by retire
+    std::array<BlockPtr, 2> src{};        // operand base blocks
+    std::array<sial::BlockSelector, 2> src_sel{};
+    BlockPtr put_payload;  // window put: produced by execute, sent at retire
   };
 
-  // Decodes a block compute op (copy/binary/scaled-copy/scalar-op) into
-  // a window entry. `scalar0` is the operand popped at scan time.
-  void window_block_op(const sial::Instruction& instr, double scalar0);
-  // Decodes put/prepare: permute on the pool, send at retire.
-  void window_put(const sial::Instruction& instr, bool served);
-  // Decodes `execute` into an inline window entry, waits for its own
-  // hazards and operands only, and runs it on this thread (see
-  // executor.hpp). Block arguments bind through bind_execute, with the
-  // super instruction's declared access deciding the hazards.
-  void window_execute(const sial::Instruction& instr);
-  // Binds a source operand of a window entry into `*slot` (an aliasing
-  // pointer into the entry's closure state) and returns its selector:
-  // local-kind blocks resolve immediately; distributed/served blocks
-  // either hit the cache or become PendingOperands (with the fetch issued
-  // now unless an un-retired window put targets the same block).
-  sial::BlockSelector bind_read_operand(DataflowExecutor::Entry& entry,
-                                        std::shared_ptr<BlockPtr> slot,
+  // A block compute op (copy/binary/scaled-copy/scalar-op). `scalar0` is
+  // the operand popped at scan time.
+  void exec_block_op(const sial::Instruction& instr, double scalar0);
+  // put/prepare: under the window the payload is shaped on the pool and
+  // sent at retire.
+  void exec_put_prepare(const sial::Instruction& instr, bool served);
+  // Binds every block of a block op (compute, put/prepare, block_dot)
+  // into `op`: the sources, then a compute op's destination. `owner` is
+  // the shared state holding `op` (null with no entry).
+  void bind_block_op(const sial::Instruction& instr, BlockOp& op,
+                     DataflowExecutor::Entry* entry,
+                     const std::shared_ptr<void>& owner);
+  // Binds a source operand into `slot` and returns its selector. With
+  // `entry` null the base block is fetched now (fetch_base_block).
+  // Otherwise the read is recorded in `entry`: local-kind blocks resolve
+  // immediately; distributed/served blocks either hit the cache or
+  // become PendingOperands that deposit into `slot`, kept alive by
+  // `owner` (with the fetch issued now unless an un-retired window put
+  // targets the same block).
+  sial::BlockSelector bind_read_operand(DataflowExecutor::Entry* entry,
+                                        const std::shared_ptr<void>& owner,
+                                        BlockPtr& slot,
                                         const sial::BlockOperand& operand);
-  // Pump-time operand resolution (interpreter thread): returns the block
-  // once available, nullptr while in flight, throws when it can never
-  // arrive. Defers while one of our own window puts targets `id`.
+  // Returns the block once available, nullptr while in flight, throws
+  // when it can never arrive. Defers while one of our own window puts
+  // targets `id`. Pump-time resolution of pending operands, and the rule
+  // fetch_base_block waits on.
   BlockPtr resolve_dist_operand(const BlockId& id);
   BlockPtr resolve_served_operand(const BlockId& id);
   // Shared look-ahead prediction (see prefetch.hpp): the candidates for
@@ -178,18 +191,29 @@ class Interpreter {
   // targets. Empty when prefetch_depth is 0.
   std::vector<BlockId> lookahead_candidates(
       const sial::BlockOperand& operand) const;
-  // Pool-thread body shared by all windowed block compute entries.
-  void run_window_block_op(const sial::Instruction& instr, WindowOp& op,
-                           double scalar0);
+  // Effective source `i` of a bound op: the bound block, or for a sliced
+  // operand its slice, cut into `cut`.
+  static const BlockPtr& source(const BlockOp& op, std::size_t i,
+                                BlockPtr& cut);
+  // The compute body of every block compute op, run on a pool thread or
+  // at issue.
+  void run_block_op(const sial::Instruction& instr, BlockOp& op,
+                    double scalar0);
+  // The put/prepare payload: source 0 permuted into the target's index
+  // order, checked against the target's shape.
+  BlockPtr put_payload(const sial::Instruction& instr, const BlockOp& op,
+                       bool served);
+  void send_put(const BlockId& target, BlockPtr payload, bool accumulate,
+                bool served);
   // Enqueues, first making room in the window (pumping retires and
   // servicing the fabric while it is full).
   void enqueue_entry(DataflowExecutor::Entry entry);
   // Blocks until the window is empty: every entry executed and retired.
-  // Required before any operation whose semantics assume the serial
-  // machine state (barriers, collectives, pardo-iteration boundaries,
+  // Required before any operation whose semantics assume no entry is in
+  // flight (barriers, collectives, pardo-iteration boundaries,
   // allocate/create/delete, block-dot).
   void drain_window();
-  // Total time drain_window has blocked so far (0 on the serial engine).
+  // Total time drain_window has blocked so far (0 with no window).
   double drain_wait_seconds() const {
     return executor_ ? executor_->stats().drain_wait_seconds : 0.0;
   }
@@ -205,19 +229,12 @@ class Interpreter {
   // ------------------------------------------------------------------
   // Blocks.
   sial::BlockSelector resolve(const sial::BlockOperand& operand) const;
-  // Effective (possibly sliced) read of an operand; waits for remote
-  // blocks, servicing messages meanwhile.
-  BlockPtr read_operand(const sial::BlockOperand& operand);
-  // The stored block behind a selector, fetching remote ones.
+  // The stored block behind a selector; waits for remote blocks,
+  // servicing messages meanwhile.
   BlockPtr fetch_base_block(const sial::BlockSelector& selector);
-  // Destination handling: calls `compute(dst_block)` with the effective
-  // destination; `needs_existing` preloads current content (+=, -=, *=).
-  void with_write_block(const sial::BlockSelector& selector,
-                        bool needs_existing,
-                        const std::function<void(Block&)>& compute);
   // Permutes `src` (with src_ids) into the id order of dst_ids; returns
   // `src` itself when the order already matches.
-  BlockPtr permuted_for(BlockPtr src, std::span<const int> src_ids,
+  BlockPtr permuted_for(const BlockPtr& src, std::span<const int> src_ids,
                         std::span<const int> dst_ids,
                         const BlockShape& dst_shape);
 

@@ -194,7 +194,7 @@ struct ProfileReport {
   Robustness robustness;
 
   // Dataflow-window counters (config.worker_threads >= 1), aggregated
-  // over workers. All zero on the legacy serial path.
+  // over workers. All zero with worker_threads = 0 (no window).
   struct Executor {
     int threads = 0;                  // pool size (max over workers)
     std::int64_t tasks_executed = 0;  // entries run on pool threads

@@ -351,13 +351,11 @@ TEST(DataflowExecutorTest, CancelDropsUnstartedEntries) {
   EXPECT_TRUE(executor.idle());
   EXPECT_FALSE(tail_executed);
   EXPECT_FALSE(tail_retired);
-  EXPECT_FALSE(executor.writes_block(bid(0, 1)));
 }
 
-TEST(DataflowExecutorTest, WindowLimitAndLiveWriteTracking) {
+TEST(DataflowExecutorTest, WindowLimit) {
   DataflowExecutor executor(2, 2);
   EXPECT_FALSE(executor.window_full());
-  EXPECT_FALSE(executor.writes_block(bid(0, 1)));
 
   for (int i = 0; i < 2; ++i) {
     DataflowExecutor::Entry entry;
@@ -366,12 +364,10 @@ TEST(DataflowExecutorTest, WindowLimitAndLiveWriteTracking) {
     executor.enqueue(std::move(entry));
   }
   EXPECT_TRUE(executor.window_full());
-  EXPECT_TRUE(executor.writes_block(bid(0, 1)));
   EXPECT_EQ(executor.window_size(), 2u);
 
   drive(executor);
   EXPECT_FALSE(executor.window_full());
-  EXPECT_FALSE(executor.writes_block(bid(0, 1)));
   EXPECT_EQ(executor.stats().window_peak, 2);
   EXPECT_EQ(executor.stats().tasks_executed, 2);
 }

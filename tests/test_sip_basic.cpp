@@ -24,6 +24,27 @@ RunResult run(const std::string& body, SipConfig config = small_config()) {
   return sip.run_source("sial test\n" + body + "\nendsial\n");
 }
 
+// Block operations with hand-computed results, run on both engines: at
+// issue on the interpreter thread (worker_threads 0) and through a
+// 2-thread window. Both share one binder and compute body per op, so
+// only an engine-independent oracle can catch a bug in that body.
+class SipBasicEngineTest : public ::testing::TestWithParam<int> {
+ protected:
+  SipConfig config() const {
+    SipConfig config = small_config();
+    config.worker_threads = GetParam();
+    return config;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, SipBasicEngineTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+// fill_coords writes 100 * r + c at 1-based element (r, c).
+double coords(long r, long c) { return 100.0 * r + c; }
+
 TEST(SipBasicTest, ScalarArithmetic) {
   const RunResult result = run(R"(
 scalar x
@@ -174,7 +195,7 @@ enddo k
   EXPECT_DOUBLE_EQ(result.scalar("x"), 6.0);
 }
 
-TEST(SipBasicTest, BlockFillAndDot) {
+TEST_P(SipBasicEngineTest, BlockFillAndDot) {
   // t is a 3x3 block (one segment per dim); sum of ones = 9.
   const RunResult result = run(R"(
 moindex i = 1, n
@@ -187,11 +208,12 @@ do i
     s += t(i,j) * t(i,j)
   enddo j
 enddo i
-)");
+)",
+                               config());
   EXPECT_DOUBLE_EQ(result.scalar("s"), 4.0 * 9.0);
 }
 
-TEST(SipBasicTest, BlockScalarOperations) {
+TEST_P(SipBasicEngineTest, BlockScalarOperations) {
   const RunResult result = run(R"(
 moindex i = 1, n
 temp t(i)
@@ -203,31 +225,43 @@ do i
   t(i) -= 4.0
   s += t(i) * t(i)
 enddo i
-)");
+)",
+                               config());
   // Each element: ((2+1)*3)-4 = 5; 3 elements per block, 2 blocks.
   EXPECT_DOUBLE_EQ(result.scalar("s"), 2.0 * 3.0 * 25.0);
 }
 
-TEST(SipBasicTest, BlockCopyWithPermutation) {
+TEST_P(SipBasicEngineTest, BlockCopyWithPermutation) {
   const RunResult result = run(R"(
 moindex i = 1, n
 moindex j = 1, m
 temp t(i,j)
 temp u(j,i)
+temp w(j,i)
 scalar s
+scalar cross
 do i
   do j
     execute fill_coords t(i,j)
     u(j,i) = t(i,j)
     s += u(j,i) * u(j,i) - t(i,j) * t(i,j)
+    execute fill_coords w(j,i)
+    cross += u(j,i) * w(j,i)
   enddo j
 enddo i
-)");
+)",
+                               config());
   // Permuted copy preserves the norm.
   EXPECT_NEAR(result.scalar("s"), 0.0, 1e-9);
+  // u(j,i) holds t's element (i,j), w(j,i) its own coordinates.
+  double cross = 0.0;
+  for (long i = 1; i <= 6; ++i) {
+    for (long j = 1; j <= 9; ++j) cross += coords(i, j) * coords(j, i);
+  }
+  EXPECT_DOUBLE_EQ(result.scalar("cross"), cross);
 }
 
-TEST(SipBasicTest, BlockAddSubAndScaledCopy) {
+TEST_P(SipBasicEngineTest, BlockAddSubAndScaledCopy) {
   const RunResult result = run(R"(
 moindex i = 1, n
 temp a(i)
@@ -244,35 +278,55 @@ do i
   b(i) = 2.0 * a(i)
   s += c(i) * b(i)
 enddo i
-)");
+)",
+                               config());
   // c = 3, b = 6 per element; 3 elements x 2 blocks.
   EXPECT_DOUBLE_EQ(result.scalar("s"), 6.0 * 18.0);
 }
 
-TEST(SipBasicTest, BlockContractionMatmul) {
+TEST_P(SipBasicEngineTest, BlockContractionMatmul) {
   const RunResult result = run(R"(
 moindex i = 1, n
 moindex j = 1, n
 moindex k = 1, n
 temp a(i,k)
 temp b(k,j)
+temp bt(j,k)
 temp c(i,j)
+temp ct(j,i)
 scalar s
+scalar st
 do i
   do j
     c(i,j) = 0.0
+    ct(j,i) = 0.0
     do k
       a(i,k) = 1.0
       b(k,j) = 2.0
       c(i,j) += a(i,k) * b(k,j)
+      execute fill_coords a(i,k)
+      execute fill_coords bt(j,k)
+      ct(j,i) += a(i,k) * bt(j,k)
     enddo k
     s += c(i,j) * c(i,j)
+    st += ct(j,i) * ct(j,i)
   enddo j
 enddo i
-)");
+)",
+                               config());
   // Each c element = sum over 6 k-elements of 1*2 = 12; 9 elements per
   // block, 4 (i,j) block pairs.
   EXPECT_DOUBLE_EQ(result.scalar("s"), 4.0 * 9.0 * 144.0);
+  // ct(j,i) = sum_k a(i,k) bt(j,k), contracted into a transposed target.
+  double st = 0.0;
+  for (long i = 1; i <= 6; ++i) {
+    for (long j = 1; j <= 6; ++j) {
+      double element = 0.0;
+      for (long k = 1; k <= 6; ++k) element += coords(i, k) * coords(j, k);
+      st += element * element;
+    }
+  }
+  EXPECT_DOUBLE_EQ(result.scalar("st"), st);
 }
 
 TEST(SipBasicTest, StaticArrayPersistsAcrossLoops) {

@@ -23,6 +23,34 @@ RunResult run(const std::string& body,
   return sip.run_source("sial test\n" + body + "\nendsial\n");
 }
 
+// Slices and insertions with hand-computed results, run on both engines:
+// at issue on the interpreter thread (worker_threads 0) and through a
+// 2-thread window.
+class SipFeatureEngineTest : public ::testing::TestWithParam<int> {
+ protected:
+  SipConfig config() const {
+    SipConfig config = feature_config();
+    config.worker_threads = GetParam();
+    return config;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, SipFeatureEngineTest,
+                         ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+// Sum over the n x n grid (n = 8) of the squares of fill_coords' values,
+// 100 * r + c at 1-based element (r, c).
+double coords_norm2() {
+  double sum = 0.0;
+  for (long r = 1; r <= 8; ++r) {
+    for (long c = 1; c <= 8; ++c) sum += (100.0 * r + c) * (100.0 * r + c);
+  }
+  return sum;
+}
+
 TEST(SipFeatureTest, DoInIteratesSubsegmentsOfCurrentBlock) {
   // n = 8, segment 4 -> 2 segments; 2 subsegments each -> ii visits 4
   // values total, 2 per super segment.
@@ -42,7 +70,7 @@ enddo i
   EXPECT_DOUBLE_EQ(result.scalar("subsum"), 1.0 + 2.0 + 3.0 + 4.0);
 }
 
-TEST(SipFeatureTest, SliceExtractsSubblock) {
+TEST_P(SipFeatureEngineTest, SliceExtractsSubblock) {
   // Xi is a full block (4 wide); Xii picks the subblock; the paper's
   // Figure 1 scenario reduced to one dimension plus a second index.
   const RunResult result = run(R"(
@@ -63,14 +91,17 @@ do i
     enddo ii
   enddo j
 enddo i
-)");
+)",
+                               config());
   // Slices tile the block exactly: the norms must agree.
   EXPECT_NEAR(result.scalar("norm_parts"), result.scalar("norm_full"),
               1e-9);
   EXPECT_GT(result.scalar("norm_full"), 0.0);
+  EXPECT_DOUBLE_EQ(result.scalar("norm_full"), coords_norm2());
+  EXPECT_DOUBLE_EQ(result.scalar("norm_parts"), coords_norm2());
 }
 
-TEST(SipFeatureTest, InsertionWritesBackSubblock) {
+TEST_P(SipFeatureEngineTest, InsertionWritesBackSubblock) {
   const RunResult result = run(R"(
 moindex i = 1, n
 moindex j = 1, n
@@ -90,11 +121,13 @@ do i
     diff += xi(i,j) * xi(i,j)
   enddo j
 enddo i
-)");
+)",
+                               config());
   EXPECT_GT(result.scalar("diff"), 0.0);
+  EXPECT_DOUBLE_EQ(result.scalar("diff"), 4.0 * coords_norm2());
 }
 
-TEST(SipFeatureTest, InsertionDoublesExactly) {
+TEST_P(SipFeatureEngineTest, InsertionDoublesExactly) {
   const RunResult result = run(R"(
 moindex i = 1, n
 moindex j = 1, n
@@ -118,7 +151,8 @@ do i
     err += di(i,j) * di(i,j)
   enddo j
 enddo i
-)");
+)",
+                               config());
   EXPECT_NEAR(result.scalar("err"), 0.0, 1e-18);
 }
 
@@ -139,7 +173,7 @@ collective total += lsum
   EXPECT_DOUBLE_EQ(result.scalar("total"), 4.0);
 }
 
-TEST(SipFeatureTest, StaticSliceAndInsert) {
+TEST_P(SipFeatureEngineTest, StaticSliceAndInsert) {
   const RunResult result = run(R"(
 moindex i = 1, n
 subindex ii of i
@@ -155,7 +189,8 @@ enddo i
 do i
   sum += s(i) * s(i)
 enddo i
-)");
+)",
+                               config());
   EXPECT_DOUBLE_EQ(result.scalar("sum"), 8.0);
 }
 

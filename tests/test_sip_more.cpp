@@ -27,6 +27,23 @@ RunResult run(const std::string& body, SipConfig config = more_config()) {
   return sip.run_source("sial test\n" + body + "\nendsial\n");
 }
 
+// Puts and remote operands with hand-computed results, run on both
+// engines: at issue on the interpreter thread (worker_threads 0) and
+// through a 2-thread window.
+class SipMoreEngineTest : public ::testing::TestWithParam<int> {
+ protected:
+  SipConfig config() const {
+    SipConfig config = more_config();
+    config.worker_threads = GetParam();
+    return config;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, SipMoreEngineTest, ::testing::Values(0, 2),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
 TEST(SipMoreTest, Rank6ContractionFromTwoRank4s) {
   // The paper's A(a,b,c,k)*B(k,l,m,n) -> C(a,b,c,l,m,n) case (§IV-E).
   const RunResult result = run(R"(
@@ -120,7 +137,7 @@ call inner
   EXPECT_DOUBLE_EQ(result.scalar("x"), 5.0);
 }
 
-TEST(SipMoreTest, ExecuteReadsDistributedBlock) {
+TEST_P(SipMoreEngineTest, ExecuteReadsDistributedBlock) {
   // A super instruction may take a distributed block as a (read-only)
   // argument; the interpreter fetches and clones it.
   const RunResult result = run(R"(
@@ -137,7 +154,8 @@ do i
   get d(i)
   execute block_nrm2 d(i) nrm
 enddo i
-)");
+)",
+                               config());
   // Last block visited: 2 elements of 3.0.
   EXPECT_NEAR(result.scalar("nrm"), std::sqrt(2.0 * 9.0), 1e-12);
 }
@@ -236,21 +254,44 @@ collective total += steps
   EXPECT_DOUBLE_EQ(result.scalar("total"), 204.0);
 }
 
-TEST(SipMoreTest, PutFromStaticBlock) {
+TEST_P(SipMoreEngineTest, PutFromStaticBlock) {
+  // Also put += and prepare += from a permuted source, twice each. (A
+  // sliced source cannot be put: sema rejects subindices on distributed
+  // and served arrays, and put/prepare need matching indices.)
+  SipConfig config = this->config();
+  config.io_servers = 1;
   const RunResult result = run(R"(
 moindex i = 1, n
+moindex j = 1, n
 static st(i)
+static sp(i,j)
 distributed d(i)
+distributed e(j,i)
+served s(j,i)
 temp u(i)
+temp v(j,i)
+temp w(j,i)
 scalar lsum
 scalar total
+scalar ecross
+scalar scross
 do i
   st(i) = 4.0
+  do j
+    execute fill_coords sp(i,j)
+  enddo j
 enddo i
 pardo i
   put d(i) = st(i)
 endpardo i
+pardo i, j
+  put e(j,i) += sp(i,j)
+  put e(j,i) += sp(i,j)
+  prepare s(j,i) += sp(i,j)
+  prepare s(j,i) += sp(i,j)
+endpardo i, j
 sip_barrier
+server_barrier
 pardo i
   get d(i)
   u(i) = d(i)
@@ -258,8 +299,37 @@ pardo i
 endpardo i
 total = 0.0
 collective total += lsum
-)");
+lsum = 0.0
+pardo j, i
+  execute fill_coords w(j,i)
+  get e(j,i)
+  v(j,i) = e(j,i)
+  lsum += v(j,i) * w(j,i)
+endpardo j, i
+ecross = 0.0
+collective ecross += lsum
+lsum = 0.0
+pardo j, i
+  execute fill_coords w(j,i)
+  request s(j,i)
+  v(j,i) = s(j,i)
+  lsum += v(j,i) * w(j,i)
+endpardo j, i
+scross = 0.0
+collective scross += lsum
+)",
+                               config);
   EXPECT_DOUBLE_EQ(result.scalar("total"), 4.0 * 16.0);
+  // e(j,i) and s(j,i) hold twice sp's element (i,j), 100 * i + j;
+  // w(j,i) holds 100 * j + i.
+  double cross = 0.0;
+  for (long i = 1; i <= 4; ++i) {
+    for (long j = 1; j <= 4; ++j) {
+      cross += 2.0 * (100.0 * i + j) * (100.0 * j + i);
+    }
+  }
+  EXPECT_DOUBLE_EQ(result.scalar("ecross"), cross);
+  EXPECT_DOUBLE_EQ(result.scalar("scross"), cross);
 }
 
 TEST(SipMoreTest, DeepLoopNesting) {
