@@ -26,6 +26,7 @@
 // runtime-chosen tuning parameters. Optimizer diagnostics (what was
 // hoisted, which barriers were dropped, which temps defeat renaming) are
 // rendered to stderr with caret snippets against the source.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -53,6 +54,14 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+// Parses all of `text` as a number; trailing bytes make it a bad value.
+template <class T>
+bool parse_number(const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, out);
+  return error == std::errc() && stop == end && end != text;
 }
 
 int usage() {
@@ -84,15 +93,24 @@ int main(int argc, char** argv) {
   bool dump_bytecode = false;
   bool dump_raw = false;
   bool no_autotune = false;
+  // Reads the option's value into `out`; false (after saying why) when
+  // it is not a number from end to end.
+  const auto value = [&](int& arg, auto& out) {
+    const char* flag = argv[arg];
+    const char* text = argv[++arg];
+    if (parse_number(text, out)) return true;
+    std::fprintf(stderr, "sial_tool: bad value for %s: '%s'\n", flag, text);
+    return false;
+  };
   for (int arg = 3; arg < argc; ++arg) {
     if (std::strcmp(argv[arg], "-w") == 0 && arg + 1 < argc) {
-      config.workers = std::atoi(argv[++arg]);
+      if (!value(arg, config.workers)) return 2;
     } else if (std::strcmp(argv[arg], "-s") == 0 && arg + 1 < argc) {
-      config.io_servers = std::atoi(argv[++arg]);
+      if (!value(arg, config.io_servers)) return 2;
     } else if (std::strcmp(argv[arg], "-g") == 0 && arg + 1 < argc) {
-      config.default_segment = std::atoi(argv[++arg]);
+      if (!value(arg, config.default_segment)) return 2;
     } else if (std::strcmp(argv[arg], "-t") == 0 && arg + 1 < argc) {
-      config.worker_threads = std::atoi(argv[++arg]);
+      if (!value(arg, config.worker_threads)) return 2;
     } else if (std::strncmp(argv[arg], "-O", 2) == 0 &&
                std::strlen(argv[arg]) == 3 && argv[arg][2] >= '0' &&
                argv[arg][2] <= '2') {
@@ -105,7 +123,7 @@ int main(int argc, char** argv) {
       dump_raw = true;
     } else if (std::strcmp(argv[arg], "--sparse-threshold") == 0 &&
                arg + 1 < argc) {
-      config.sparse_threshold = std::atof(argv[++arg]);
+      if (!value(arg, config.sparse_threshold)) return 2;
     } else if (std::strcmp(argv[arg], "--no-autotune") == 0) {
       no_autotune = true;
     } else if (std::strcmp(argv[arg], "--transport") == 0 && arg + 1 < argc) {
@@ -114,7 +132,12 @@ int main(int argc, char** argv) {
       const std::string def = argv[++arg];
       const std::size_t eq = def.find('=');
       if (eq == std::string::npos) return usage();
-      config.constants[def.substr(0, eq)] = std::atol(def.c_str() + eq + 1);
+      if (!parse_number(def.c_str() + eq + 1,
+                        config.constants[def.substr(0, eq)])) {
+        std::fprintf(stderr, "sial_tool: bad value for -D: '%s'\n",
+                     def.c_str());
+        return 2;
+      }
     } else {
       return usage();
     }

@@ -28,6 +28,8 @@ class BlockCache {
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
     std::int64_t insertions = 0;
+
+    bool operator==(const Stats&) const = default;
   };
 
   // Called with each evicted entry; `dirty` is the flag set by put(...,

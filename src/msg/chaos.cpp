@@ -36,6 +36,15 @@ ChaosFabric::ChaosFabric(std::unique_ptr<Fabric> base, const FaultPlan& plan)
 ChaosFabric::ChaosFabric(int ranks, const FaultPlan& plan)
     : ChaosFabric(std::make_unique<Fabric>(ranks), plan) {}
 
+ChaosFabric* ChaosFabric::wrap(std::unique_ptr<Fabric>& fabric,
+                               const FaultPlan& plan) {
+  if (!plan.active()) return nullptr;
+  auto chaos = std::make_unique<ChaosFabric>(std::move(fabric), plan);
+  ChaosFabric* raw = chaos.get();
+  fabric = std::move(chaos);
+  return raw;
+}
+
 ChaosFabric::~ChaosFabric() {
   {
     std::lock_guard<std::mutex> lock(delay_mutex_);

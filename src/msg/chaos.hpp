@@ -53,6 +53,7 @@ struct ChaosStats {
   std::int64_t total() const {
     return drops + dups + delays + reorders + kill_swallowed;
   }
+  bool operator==(const ChaosStats&) const = default;
 };
 
 class ChaosFabric : public Fabric {
@@ -62,6 +63,11 @@ class ChaosFabric : public Fabric {
   // Convenience: wraps a fresh in-process thread fabric of `ranks`.
   ChaosFabric(int ranks, const FaultPlan& plan);
   ~ChaosFabric() override;
+
+  // Decorates `fabric` in place when `plan` is active and returns the
+  // decorator; null (and `fabric` untouched) otherwise.
+  static ChaosFabric* wrap(std::unique_ptr<Fabric>& fabric,
+                           const FaultPlan& plan);
 
   void send(int src, int dst, Message message) override;
   std::optional<Message> try_recv(int rank) override;

@@ -196,24 +196,26 @@ TrafficStats Fabric::stats(int rank) const {
   return stats;
 }
 
+TrafficStats& TrafficStats::operator+=(const TrafficStats& o) {
+  messages_sent += o.messages_sent;
+  payload_doubles_sent += o.payload_doubles_sent;
+  header_words_sent += o.header_words_sent;
+  zero_copy_messages += o.zero_copy_messages;
+  zero_copy_doubles += o.zero_copy_doubles;
+  sends_after_stop += o.sends_after_stop;
+  blocks_screened += o.blocks_screened;
+  bytes_elided += o.bytes_elided;
+  serialized_messages += o.serialized_messages;
+  serialized_doubles += o.serialized_doubles;
+  reconnects += o.reconnects;
+  frames_rejected += o.frames_rejected;
+  peer_down_drops += o.peer_down_drops;
+  return *this;
+}
+
 TrafficStats Fabric::total_stats() const {
   TrafficStats total;
-  for (int r = 0; r < ranks(); ++r) {
-    const TrafficStats s = stats(r);
-    total.messages_sent += s.messages_sent;
-    total.payload_doubles_sent += s.payload_doubles_sent;
-    total.header_words_sent += s.header_words_sent;
-    total.zero_copy_messages += s.zero_copy_messages;
-    total.zero_copy_doubles += s.zero_copy_doubles;
-    total.sends_after_stop += s.sends_after_stop;
-    total.blocks_screened += s.blocks_screened;
-    total.bytes_elided += s.bytes_elided;
-    total.serialized_messages += s.serialized_messages;
-    total.serialized_doubles += s.serialized_doubles;
-    total.reconnects += s.reconnects;
-    total.frames_rejected += s.frames_rejected;
-    total.peer_down_drops += s.peer_down_drops;
-  }
+  for (int r = 0; r < ranks(); ++r) total += stats(r);
   return total;
 }
 

@@ -70,6 +70,9 @@ struct TrafficStats {
   std::int64_t reconnects = 0;
   std::int64_t frames_rejected = 0;
   std::int64_t peer_down_drops = 0;
+
+  TrafficStats& operator+=(const TrafficStats& other);
+  bool operator==(const TrafficStats&) const = default;
 };
 
 class Fabric {

@@ -57,6 +57,8 @@ class ReliableChannel {
   struct Stats {
     std::int64_t retries_sent = 0;
     std::int64_t acks_timed_out = 0;  // entries that exhausted retry_max
+
+    bool operator==(const Stats&) const = default;
   };
 
   ReliableChannel(Fabric* fabric, int my_rank, int retry_timeout_ms,

@@ -62,9 +62,9 @@ enum Tag : int {
   kHeartbeatAck = 904,   // rank -> master: [tick, rank]
   kProtoAck = 905,       // standalone ack: msg.ack = applied seq
 
-  // Process ranks (PR 9): a spawned rank ships its end-of-run counters
-  // and (for the first worker) final scalar values back to the launch.
-  // header = [kind, scalar_count], data = packed counters + scalars.
+  // Process ranks: a spawned rank ships its end-of-run report back to
+  // the launch. header = [byte_count], data = the encoded sip::RankReport
+  // packed 8 bytes per double (see sip/rank_report.hpp).
   kResultReport = 906,
 };
 

@@ -53,6 +53,8 @@ class DistArrayManager {
     std::int64_t puts_screened = 0;  // put/put+= payloads dropped at sender
     std::int64_t gets_screened = 0;  // get requests answered with a marker
     std::int64_t zero_reads = 0;     // reads satisfied by the zero block
+
+    bool operator==(const Stats&) const = default;
   };
 
   DistArrayManager(SipShared& shared, int my_rank, BlockPool& pool,

@@ -10,11 +10,10 @@ namespace sia::sip {
 DataflowExecutor::DataflowExecutor(int threads, std::size_t window_limit)
     : window_limit_(std::max<std::size_t>(window_limit, 1)) {
   SIA_CHECK(threads >= 1, "DataflowExecutor needs at least one thread");
-  stats_.thread_busy_seconds.assign(static_cast<std::size_t>(threads), 0.0);
-  stats_.thread_tasks.assign(static_cast<std::size_t>(threads), 0);
+  stats_.threads = threads;
   pool_.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
-    pool_.emplace_back([this, t] { worker_loop(t); });
+    pool_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -158,8 +157,7 @@ void DataflowExecutor::on_complete_locked(Node* node) {
   progress_cv_.notify_all();
 }
 
-void DataflowExecutor::worker_loop(int thread_index) {
-  const std::size_t ti = static_cast<std::size_t>(thread_index);
+void DataflowExecutor::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     pool_cv_.wait(lock, [&] { return shutdown_ || !ready_.empty(); });
@@ -177,8 +175,7 @@ void DataflowExecutor::worker_loop(int thread_index) {
     }
     const double elapsed = wall_seconds() - t0;
     lock.lock();
-    stats_.thread_busy_seconds[ti] += elapsed;
-    ++stats_.thread_tasks[ti];
+    stats_.thread_busy_seconds += elapsed;
     ++stats_.tasks_executed;
     node->error = error;
     node->state = State::kDone;

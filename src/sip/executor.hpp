@@ -44,6 +44,7 @@
 
 #include "block/block.hpp"
 #include "block/block_id.hpp"
+#include "sip/profiler.hpp"
 
 namespace sia::sip {
 
@@ -94,26 +95,9 @@ class DataflowExecutor {
     bool run_inline = false;
   };
 
-  struct Stats {
-    std::int64_t tasks_executed = 0;    // entries run on the pool
-    std::int64_t entries_retired = 0;
-    std::int64_t hazard_stalls = 0;     // entries enqueued with live deps
-    // Dependency edges observed at enqueue, classified by hazard kind
-    // (an entry may contribute several edges; edges are counted before
-    // dedup against other kinds, so their sum can exceed hazard_stalls).
-    std::int64_t raw_deps = 0;          // read waits on an earlier write
-    std::int64_t war_deps = 0;          // write waits on an earlier read
-    std::int64_t waw_deps = 0;          // write waits on an earlier write
-    std::int64_t operand_stalls = 0;    // entries that parked on a fetch
-    std::int64_t drains = 0;            // full-window drains
-    std::int64_t window_peak = 0;       // max simultaneous entries
-    std::int64_t occupancy_sum = 0;     // window size sampled at enqueue
-    std::int64_t occupancy_samples = 0;
-    double drain_wait_seconds = 0.0;    // interpreter blocked in drain()
-    // Per-pool-thread busy time and task counts (timeline summary).
-    std::vector<double> thread_busy_seconds;
-    std::vector<std::int64_t> thread_tasks;
-  };
+  // The window's counters are the profile's executor section; `threads`
+  // is this pool's size.
+  using Stats = ProfileReport::Executor;
 
   // `threads` >= 1. `window_limit` bounds the number of in-flight entries
   // (the scan-ahead distance).
@@ -170,7 +154,6 @@ class DataflowExecutor {
   // the interpreter attribute deferred errors to the right SIAL line.
   int last_error_pc() const { return last_error_pc_; }
 
-  int threads() const { return static_cast<int>(pool_.size()); }
   const Stats& stats() const { return stats_; }
 
  private:
@@ -200,7 +183,7 @@ class DataflowExecutor {
     std::vector<Node*> readers_since_write;
   };
 
-  void worker_loop(int thread_index);
+  void worker_loop();
   // Lock held. Moves a node whose deps and operands cleared into the
   // ready queue (or straight to Done for retire-only entries).
   void make_ready_locked(Node* node);

@@ -1639,8 +1639,7 @@ void Interpreter::execute_program() {
     // Drain wait is reported on its own (ProfileReport::Executor); charge
     // the line only with the rest of its step.
     profiler_.record_instruction(
-        pc, instr.line, opcode_name(instr.op),
-        wall_seconds() - t0 - (drain_wait_seconds() - drained0));
+        pc, wall_seconds() - t0 - (drain_wait_seconds() - drained0));
   }
   drain_window();
   profiler_.record_total(wall_seconds() - start);

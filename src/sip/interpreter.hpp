@@ -41,12 +41,12 @@ class Interpreter {
   // launch; the method itself never throws.
   void run();
 
-  // Post-run access for result collection and tests.
-  DataManager& data() { return *data_; }
-  DistArrayManager& dist() { return *dist_; }
-  ServedArrayClient& served() { return *served_; }
-  BlockPool& pool() { return *pool_; }
-  Profiler& profiler() { return profiler_; }
+  // Post-run access for result collection (see rank_report.hpp).
+  const DataManager& data() const { return *data_; }
+  const DistArrayManager& dist() const { return *dist_; }
+  const ServedArrayClient& served() const { return *served_; }
+  const BlockPool& pool() const { return *pool_; }
+  const Profiler& profiler() const { return profiler_; }
   int worker_index() const { return worker_index_; }
   // Null when worker_threads resolves to 0: every op then runs at issue,
   // through the same binders and compute bodies, with no window entry.

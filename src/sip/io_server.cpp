@@ -1222,9 +1222,25 @@ void IoServer::ack_durable(const WriteBehind::AckList& acks) {
   for (const auto& [src, seq] : acks) send_ack(src, seq);
 }
 
+namespace {
+
+std::string ack_journal_path(const std::string& scratch_dir, int rank) {
+  return scratch_dir + "/server_" + std::to_string(rank) + ".ackjournal";
+}
+
+}  // namespace
+
+void remove_ack_journals(const SipConfig& config,
+                         const std::string& scratch_dir) {
+  if (!config.fault_tolerance_enabled()) return;
+  for (int rank = config.first_server_rank(); rank < config.total_ranks();
+       ++rank) {
+    ::unlink(ack_journal_path(scratch_dir, rank).c_str());
+  }
+}
+
 void IoServer::load_ack_journal() {
-  const std::string path = shared_.scratch_dir + "/server_" +
-                           std::to_string(my_rank_) + ".ackjournal";
+  const std::string path = ack_journal_path(shared_.scratch_dir, my_rank_);
   journal_fd_ = retry_eintr([&] {
     return ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   });

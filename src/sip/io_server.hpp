@@ -282,6 +282,8 @@ class IoServer {
     std::int64_t prepares_screened = 0;   // marker prepares (no payload)
     std::int64_t requests_screened = 0;   // answered with a norm-only reply
     std::int64_t evictions_screened = 0;  // dirty victims re-screened
+
+    bool operator==(const Stats&) const = default;
   };
 
   IoServer(SipShared& shared, int my_rank);
@@ -294,6 +296,7 @@ class IoServer {
   // lanes, and the disk stores. Safe to call once run() returned.
   Stats stats() const;
 
+  int rank() const { return my_rank_; }
   // Presence-map census per array: array_id -> (screened blocks, blocks
   // recorded present at all). Safe to call once run() returned.
   std::unordered_map<int, std::pair<std::int64_t, std::int64_t>> presence()
@@ -431,5 +434,12 @@ class IoServer {
   WriteBehind write_behind_;
   std::unique_ptr<DiskPool> disk_pool_;  // null when server_disk_threads==0
 };
+
+// A respawned server replays its ack journal to rebuild its dedup window.
+// A journal left over from an earlier run in the same scratch dir would
+// poison that replay, so every launch (thread or spawn) starts clean; only
+// respawns within the run append. No-op unless fault tolerance is on.
+void remove_ack_journals(const SipConfig& config,
+                         const std::string& scratch_dir);
 
 }  // namespace sia::sip

@@ -65,8 +65,8 @@ class Master {
   struct Stats {
     std::int64_t heartbeats_missed = 0;   // individual missed beats
     std::int64_t server_recoveries = 0;   // successful I/O-server respawns
-    // Guided-schedule scheduling + work stealing (master side, so the
-    // counters survive spawn mode where worker profiles are not shipped).
+    // Guided-schedule scheduling + work stealing, counted where the
+    // chunks are granted.
     std::int64_t chunks_served = 0;       // chunks granted from schedules
     std::int64_t steal_attempts = 0;      // split proposals sent to victims
     std::int64_t steals_granted = 0;      // non-empty grants forwarded

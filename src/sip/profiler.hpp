@@ -36,12 +36,11 @@ class Profiler {
  public:
   explicit Profiler(bool enabled) : enabled_(enabled) {}
 
-  void record_instruction(int pc, int line, const char* opcode,
-                          double seconds) {
+  // Keyed by pc alone: the aggregator maps a pc to its line and opcode
+  // through the resolved program (see rank_report.hpp).
+  void record_instruction(int pc, double seconds) {
     if (!enabled_) return;
     Entry& entry = instructions_[pc];
-    entry.line = line;
-    entry.opcode = opcode;
     entry.count += 1;
     entry.seconds += seconds;
   }
@@ -50,8 +49,8 @@ class Profiler {
   // not yet arrived, bucketed by what was awaited.
   void record_wait(int pardo_id, double seconds, WaitKind kind) {
     if (!enabled_) return;
-    total_wait_ += seconds;
-    wait_by_kind_[static_cast<std::size_t>(kind)] += seconds;
+    totals_.wait += seconds;
+    totals_.wait_by_kind[static_cast<std::size_t>(kind)] += seconds;
     if (pardo_id >= 0) pardo_[pardo_id].wait += seconds;
   }
 
@@ -65,39 +64,42 @@ class Profiler {
     pardo_[pardo_id].elapsed += seconds;
   }
 
-  void record_total(double seconds) { total_elapsed_ += seconds; }
+  void record_total(double seconds) { totals_.elapsed += seconds; }
 
   struct Entry {
-    int line = 0;
-    const char* opcode = "";
     std::int64_t count = 0;
     double seconds = 0.0;
+
+    bool operator==(const Entry&) const = default;
   };
   struct PardoEntry {
     std::int64_t iterations = 0;
     double elapsed = 0.0;
     double wait = 0.0;
+
+    bool operator==(const PardoEntry&) const = default;
+  };
+  // Whole-run totals: the worker's wall time and its waits, by kind.
+  struct Totals {
+    double elapsed = 0.0;
+    double wait = 0.0;
+    std::array<double, kWaitKindCount> wait_by_kind{};
+
+    double wait_for(WaitKind kind) const {
+      return wait_by_kind[static_cast<std::size_t>(kind)];
+    }
+    bool operator==(const Totals&) const = default;
   };
 
   const std::map<int, Entry>& instructions() const { return instructions_; }
   const std::map<int, PardoEntry>& pardos() const { return pardo_; }
-  double total_wait() const { return total_wait_; }
-  double total_elapsed() const { return total_elapsed_; }
-  double wait_for(WaitKind kind) const {
-    return wait_by_kind_[static_cast<std::size_t>(kind)];
-  }
-  // Get/request wait: time blocked on distributed or served block data.
-  double block_wait() const {
-    return wait_for(WaitKind::kBlock) + wait_for(WaitKind::kServed);
-  }
+  const Totals& totals() const { return totals_; }
 
  private:
   bool enabled_;
   std::map<int, Entry> instructions_;   // keyed by pc
   std::map<int, PardoEntry> pardo_;     // keyed by pardo table id
-  double total_wait_ = 0.0;
-  double total_elapsed_ = 0.0;
-  std::array<double, kWaitKindCount> wait_by_kind_{};
+  Totals totals_;
 };
 
 // Aggregated view over all workers, returned from a SIP run.
@@ -222,6 +224,7 @@ struct ProfileReport {
     bool any() const {
       return entries_retired != 0 || tasks_executed != 0;
     }
+    bool operator==(const Executor&) const = default;
   };
   Executor executor;
 
@@ -278,8 +281,7 @@ struct ProfileReport {
   Plan plan;
 
   // Guided-schedule counters from the master: chunks served, work-steal
-  // traffic, and the per-worker iteration histogram (master-side, so
-  // they survive spawn mode where worker profiles are not shipped).
+  // traffic, and the per-worker iteration histogram.
   struct Scheduling {
     std::int64_t chunks_served = 0;
     std::int64_t steal_attempts = 0;

@@ -36,6 +36,8 @@ class ServedArrayClient {
     // Norm-based screening (sparse arrays, sparse_threshold > 0).
     std::int64_t prepares_screened = 0;  // payloads dropped at the sender
     std::int64_t zero_reads = 0;         // replies answered "screened"
+
+    bool operator==(const Stats&) const = default;
   };
 
   ServedArrayClient(SipShared& shared, int my_rank, BlockPool& pool,

@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <thread>
@@ -25,19 +24,13 @@
 #include "sip/interpreter.hpp"
 #include "sip/io_server.hpp"
 #include "sip/master.hpp"
+#include "sip/rank_report.hpp"
 #include "sip/shared.hpp"
 #include "sip/superinstr.hpp"
 
 namespace sia::sip {
 
 namespace {
-
-// kResultReport payload layout (see tags.hpp): data = 13 traffic words,
-// 5 chaos words, a kind-specific tail, then (workers only) the final
-// scalar values. header = [kind, scalar_count].
-constexpr int kKindWorker = 1;
-constexpr int kKindServer = 2;
-constexpr std::size_t kTrafficWords = 13;
 
 std::string format_double(double value) {
   char buf[64];
@@ -215,46 +208,12 @@ Bundle parse_bundle(const std::string& text) {
   throw Error("spawn bundle: missing source section");
 }
 
-// ---------------------------------------------------------------------
-// Result-report packing.
-
-void pack_traffic(const msg::TrafficStats& t, std::vector<double>& out) {
-  const std::int64_t words[kTrafficWords] = {
-      t.messages_sent,     t.payload_doubles_sent, t.header_words_sent,
-      t.zero_copy_messages, t.zero_copy_doubles,   t.sends_after_stop,
-      t.blocks_screened,   t.bytes_elided,         t.serialized_messages,
-      t.serialized_doubles, t.reconnects,          t.frames_rejected,
-      t.peer_down_drops};
-  for (const std::int64_t w : words) out.push_back(static_cast<double>(w));
-}
-
-std::int64_t take(const msg::Message& m, std::size_t& i) {
-  return i < m.data.size() ? static_cast<std::int64_t>(m.data[i++]) : 0;
-}
-
-void add_traffic(const msg::Message& m, std::size_t& i,
-                 msg::TrafficStats& t) {
-  t.messages_sent += take(m, i);
-  t.payload_doubles_sent += take(m, i);
-  t.header_words_sent += take(m, i);
-  t.zero_copy_messages += take(m, i);
-  t.zero_copy_doubles += take(m, i);
-  t.sends_after_stop += take(m, i);
-  t.blocks_screened += take(m, i);
-  t.bytes_elided += take(m, i);
-  t.serialized_messages += take(m, i);
-  t.serialized_doubles += take(m, i);
-  t.reconnects += take(m, i);
-  t.frames_rejected += take(m, i);
-  t.peer_down_drops += take(m, i);
-}
-
-// Writes the given messages over a fresh one-shot connection to the hub.
-// Best effort by design: if the hub is already gone (it stops on abort),
-// the report is simply lost — the error that caused the abort reached
-// the master through the live fabric before it stopped.
-void send_one_shot(const std::string& connect,
-                   const std::vector<msg::Message>& messages) {
+// Writes `message` from `rank` over a fresh one-shot connection to the
+// hub. Best effort by design: if the hub is already gone (it stops on
+// abort), the report is simply lost — the error that caused the abort
+// reached the master through the live fabric before it stopped.
+void send_one_shot(const std::string& connect, int rank,
+                   msg::Message message) {
   msg::SocketAddress addr;
   try {
     addr = msg::SocketAddress::parse(connect);
@@ -263,12 +222,10 @@ void send_one_shot(const std::string& connect,
   }
   const int fd = msg::connect_socket(addr);
   if (fd < 0) return;
+  message.src = rank;
   std::vector<std::uint8_t> frame;
-  for (const msg::Message& message : messages) {
-    frame.clear();
-    msg::encode_message_frame(message, /*dst=*/0, frame);
-    if (write_full(fd, frame.data(), frame.size()) < 0) break;
-  }
+  msg::encode_message_frame(message, /*dst=*/0, frame);
+  write_full(fd, frame.data(), frame.size());
   close_quiet(fd);
 }
 
@@ -425,100 +382,51 @@ int run_spawn_child(int argc, char** argv) {
     };
     std::unique_ptr<msg::Fabric> fabric =
         std::make_unique<msg::SocketFabric>(config.total_ranks(), sopts);
-    msg::ChaosFabric* chaos = nullptr;
-    if (config.fault_plan.active()) {
-      auto wrapped = std::make_unique<msg::ChaosFabric>(std::move(fabric),
-                                                        config.fault_plan);
-      chaos = wrapped.get();
+    msg::ChaosFabric* chaos =
+        msg::ChaosFabric::wrap(fabric, config.fault_plan);
+    if (chaos != nullptr) {
       // A chaos kill in a real process is a real death: SIGKILL, no
       // destructors, no goodbye — the master's watchdog must find out
       // the hard way, exactly as with a crashed MPI rank.
-      wrapped->set_kill_hook([rank](int dying) {
+      chaos->set_kill_hook([rank](int dying) {
         if (dying == rank) std::raise(SIGKILL);
       });
-      fabric = std::move(wrapped);
     }
     shared.fabric = fabric.get();
 
-    const bool is_worker = shared.is_worker(rank);
+    const std::uint64_t kernels_screened_before = kernels_screened_count();
+    // The rank stays alive until its report is sent, so the parent does
+    // not wait on its teardown.
     std::unique_ptr<Interpreter> worker;
     std::unique_ptr<IoServer> server;
-    if (is_worker) {
+    RankReport report;
+    if (shared.is_worker(rank)) {
       worker = std::make_unique<Interpreter>(shared, rank - 1);
       worker->run();
+      report = collect(*worker);
     } else {
       server = std::make_unique<IoServer>(shared, rank);
       server->run();
+      report = collect(*server);
     }
+    report.process = collect_process(*fabric, chaos, disk_injector.get(),
+                                     kernels_screened_before);
 
     std::string first_error;
     {
       std::lock_guard<std::mutex> lock(shared.error_mutex);
       first_error = shared.first_error;
     }
-
-    msg::Message report;
-    report.tag = msg::kResultReport;
-    report.src = rank;
-    pack_traffic(shared.fabric->total_stats(), report.data);
-    msg::ChaosStats faults;
-    if (chaos != nullptr) faults = chaos->chaos_stats();
-    report.data.push_back(static_cast<double>(faults.drops));
-    report.data.push_back(static_cast<double>(faults.dups));
-    report.data.push_back(static_cast<double>(faults.delays));
-    report.data.push_back(static_cast<double>(faults.reorders));
-    report.data.push_back(static_cast<double>(faults.kill_swallowed));
-    std::int64_t scalar_count = 0;
-    if (is_worker) {
-      std::int64_t retries = 0, timeouts = 0;
-      if (const msg::ReliableChannel* channel = worker->channel()) {
-        retries = channel->stats().retries_sent;
-        timeouts = channel->stats().acks_timed_out;
-      }
-      report.data.push_back(static_cast<double>(retries));
-      report.data.push_back(static_cast<double>(timeouts));
-      report.data.push_back(
-          static_cast<double>(worker->sequencer().duplicates_dropped()));
-      if (rank == 1 && first_error.empty()) {
-        // Worker 0's scalars are the canonical result copy (collectives
-        // synchronized them); only it ships values back.
-        scalar_count =
-            static_cast<std::int64_t>(resolved.code().scalars.size());
-        for (std::int64_t s = 0; s < scalar_count; ++s) {
-          report.data.push_back(worker->data().scalar(static_cast<int>(s)));
-        }
-      }
-    } else {
-      const IoServer::Stats stats = server->stats();
-      report.data.push_back(static_cast<double>(stats.requests));
-      report.data.push_back(static_cast<double>(stats.lookahead_requests));
-      report.data.push_back(static_cast<double>(stats.cache_hits));
-      report.data.push_back(static_cast<double>(stats.disk_reads));
-      report.data.push_back(static_cast<double>(stats.disk_writes));
-      report.data.push_back(static_cast<double>(stats.reads_coalesced));
-      report.data.push_back(static_cast<double>(stats.write_batches));
-      report.data.push_back(static_cast<double>(stats.map_flushes));
-      report.data.push_back(static_cast<double>(stats.computed));
-      report.data.push_back(static_cast<double>(stats.dup_msgs_dropped));
-    }
-    report.header = {is_worker ? kKindWorker : kKindServer, scalar_count};
-
-    std::vector<msg::Message> outgoing;
-    if (!first_error.empty()) {
-      msg::Message abort = make_abort_message(first_error);
-      abort.src = rank;
-      outgoing.push_back(std::move(abort));
-    }
-    outgoing.push_back(std::move(report));
-    send_one_shot(connect, outgoing);
+    send_one_shot(connect, rank,
+                  first_error.empty() ? encode(report)
+                                      : make_abort_message(first_error));
     return first_error.empty() ? 0 : 1;
   } catch (const std::exception& error) {
     SIA_WARN(rank) << "spawn child failed: " << error.what();
     if (!connect.empty()) {
-      msg::Message abort = make_abort_message(
-          "rank " + std::to_string(rank) + ": " + error.what());
-      abort.src = rank;
-      send_one_shot(connect, {std::move(abort)});
+      send_one_shot(connect, rank,
+                    make_abort_message("rank " + std::to_string(rank) + ": " +
+                                       error.what()));
     }
     return 1;
   }
@@ -538,6 +446,7 @@ RunResult run_spawned(const SipConfig& config_in,
     config.heartbeat_ms = SipConfig::kAutoHeartbeatMs;
   }
   const int total = config.total_ranks();
+  const std::uint64_t kernels_screened_before = kernels_screened_count();
 
   std::string address = config.socket_address;
   if (address.empty()) {
@@ -553,13 +462,7 @@ RunResult run_spawned(const SipConfig& config_in,
   auto socket = std::make_unique<msg::SocketFabric>(total, hub_opts);
   msg::SocketFabric* hub = socket.get();
   std::unique_ptr<msg::Fabric> fabric = std::move(socket);
-  msg::ChaosFabric* chaos = nullptr;
-  if (config.fault_plan.active()) {
-    auto wrapped =
-        std::make_unique<msg::ChaosFabric>(std::move(fabric), config.fault_plan);
-    chaos = wrapped.get();
-    fabric = std::move(wrapped);
-  }
+  msg::ChaosFabric* chaos = msg::ChaosFabric::wrap(fabric, config.fault_plan);
 
   SipShared shared;
   shared.program = &resolved;
@@ -569,18 +472,7 @@ RunResult run_spawned(const SipConfig& config_in,
   shared.pool_plan = result.dry_run.pool_plan;
   shared.init_rank_status(total);
 
-  if (config.fault_tolerance_enabled()) {
-    // Same clean-start rule as the thread-mode launch: a stale ack
-    // journal would poison a respawned server's dedup replay.
-    for (int s = 0; s < config.io_servers; ++s) {
-      const int rank = 1 + config.workers + s;
-      std::error_code ec;
-      std::filesystem::remove(
-          std::filesystem::path(scratch_dir) /
-              ("server_" + std::to_string(rank) + ".ackjournal"),
-          ec);
-    }
-  }
+  remove_ack_journals(config, scratch_dir);
 
   const std::string bundle_path = scratch_dir + "/spawn.bundle";
   {
@@ -673,72 +565,15 @@ RunResult run_spawned(const SipConfig& config_in,
         "spawn: worker rank 1 exited without reporting results");
   }
 
-  // Aggregate: the hub's own counters (rank 0 traffic plus socket
-  // robustness atomics) plus what every child reported.
-  result.traffic = fabric->total_stats();
-  ProfileReport::Robustness& robustness = result.profile.robustness;
-  ProfileReport::ServedPipeline& served = result.profile.served;
-  msg::ChaosStats faults;
-  if (chaos != nullptr) faults = chaos->chaos_stats();
+  // The hub's own fabric (rank 0 traffic plus socket robustness
+  // atomics) is one more process section beside every child's.
+  std::vector<RankReport> decoded(1);
+  decoded[0].process =
+      collect_process(*fabric, chaos, nullptr, kernels_screened_before);
   for (const auto& [rank, report] : reports) {
-    std::size_t i = 0;
-    add_traffic(report, i, result.traffic);
-    faults.drops += take(report, i);
-    faults.dups += take(report, i);
-    faults.delays += take(report, i);
-    faults.reorders += take(report, i);
-    faults.kill_swallowed += take(report, i);
-    const std::int64_t kind =
-        report.header.empty() ? kKindWorker : report.header[0];
-    if (kind == kKindWorker) {
-      robustness.retries_sent += take(report, i);
-      robustness.acks_timed_out += take(report, i);
-      robustness.dup_msgs_dropped += take(report, i);
-      const std::int64_t scalar_count =
-          report.header.size() > 1 ? report.header[1] : 0;
-      if (rank == 1 && scalar_count > 0) {
-        const auto& scalars = resolved.code().scalars;
-        for (std::int64_t s = 0;
-             s < scalar_count &&
-             s < static_cast<std::int64_t>(scalars.size());
-             ++s) {
-          result.scalars[scalars[static_cast<std::size_t>(s)].name] =
-              report.data[i + static_cast<std::size_t>(s)];
-        }
-      }
-      i += static_cast<std::size_t>(std::max<std::int64_t>(0, scalar_count));
-    } else {
-      served.server_requests += take(report, i);
-      served.server_lookahead_requests += take(report, i);
-      served.server_cache_hits += take(report, i);
-      served.server_disk_reads += take(report, i);
-      served.server_disk_writes += take(report, i);
-      served.reads_coalesced += take(report, i);
-      served.write_batches += take(report, i);
-      served.map_flushes += take(report, i);
-      served.computed += take(report, i);
-      robustness.dup_msgs_dropped += take(report, i);
-    }
+    decoded.push_back(decode(report, resolved));
   }
-  robustness.heartbeats_missed = master.stats().heartbeats_missed;
-  robustness.server_recoveries = master.stats().server_recoveries;
-  robustness.sends_after_stop = result.traffic.sends_after_stop;
-  // Scheduling counters live master-side precisely so they survive spawn
-  // mode (worker profiles are not shipped back).
-  ProfileReport::Scheduling& scheduling = result.profile.scheduling;
-  scheduling.chunks_served = master.stats().chunks_served;
-  scheduling.steal_attempts = master.stats().steal_attempts;
-  scheduling.steals_granted = master.stats().steals_granted;
-  scheduling.stolen_iterations = master.stats().stolen_iterations;
-  scheduling.worker_iterations = master.stats().worker_iterations;
-  robustness.faults_dropped = faults.drops;
-  robustness.faults_duplicated = faults.dups;
-  robustness.faults_delayed = faults.delays;
-  robustness.faults_reordered = faults.reorders;
-  robustness.faults_kill_swallowed = faults.kill_swallowed;
-  result.profile.screening.threshold = config.sparse_threshold;
-  result.profile.screening.blocks_screened = result.traffic.blocks_screened;
-  result.profile.screening.bytes_elided = result.traffic.bytes_elided;
+  aggregate(decoded, master.stats(), resolved, result);
   return result;
 }
 

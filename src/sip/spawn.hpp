@@ -10,8 +10,9 @@
 // opt_level, same segment plan), connects to the hub as a spoke, and
 // runs its rank exactly as the thread-mode launch would have.
 //
-// End-of-run results travel back as kResultReport messages; a child that
-// aborts sends a kAbort carrying the error text. Both are written over a
+// End-of-run results travel back as a kResultReport message carrying
+// the rank's encoded RankReport; a child that aborts sends a kAbort
+// carrying the error text instead. Both are written over a
 // one-shot connection to the hub (msg::connect_socket + raw frames)
 // rather than the child's regular fabric, because the abort path stops
 // that fabric — the report must not depend on the thing that just died.
@@ -51,10 +52,9 @@ int run_spawn_child(int argc, char** argv);
 
 // Spawn-mode launch body, called by Sip::run once the program has been
 // optimized, resolved, and dry-run-checked. `result` arrives with the
-// dry-run report filled in and is returned completed. Spawn mode fills
-// scalars, traffic, and the robustness/served counters that children
-// report back; the per-instruction profile and worker cache totals stay
-// empty — they live in the children and are deliberately not shipped.
+// dry-run report filled in and is returned completed: every child ships
+// its full RankReport (rank_report.hpp), and the parent aggregates them
+// exactly as the thread-mode launch does.
 RunResult run_spawned(const SipConfig& config, const std::string& scratch_dir,
                       const std::string& source,
                       const sial::ResolvedProgram& resolved, RunResult result);

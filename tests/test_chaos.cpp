@@ -130,12 +130,13 @@ double dist_baseline() {
   return value;
 }
 
-double storm_baseline() {
-  static const double value =
-      run_with_deadline(storm_config(), chem::io_storm_source())
-          .scalar("snorm2");
-  return value;
+const RunResult& storm_reference() {
+  static const RunResult result =
+      run_with_deadline(storm_config(), chem::io_storm_source());
+  return result;
 }
+
+double storm_baseline() { return storm_reference().scalar("snorm2"); }
 
 // ---------------------------------------------------------------------
 // Matrix: random loss / duplication / delay families, 20 seeds each on
@@ -220,6 +221,12 @@ TEST(ChaosRecoveryTest, ServerKillRecoversBitIdentically) {
     EXPECT_EQ(result.profile.robustness.server_recoveries, 1)
         << "kill at " << at_msg;
     EXPECT_GT(result.profile.robustness.faults_kill_swallowed, 0)
+        << "kill at " << at_msg;
+    // Every served block reaches disk at least once, written by one
+    // incarnation or the other; the killed incarnation's writes must
+    // still be counted after the respawn replaced it.
+    EXPECT_GE(result.profile.served.server_disk_writes,
+              storm_reference().profile.served.server_disk_writes)
         << "kill at " << at_msg;
   }
 }

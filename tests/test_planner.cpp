@@ -342,6 +342,20 @@ TEST(PlannerTest, AutotuneEnvOverridesConfigBothWays) {
     EXPECT_TRUE(result.profile.plan.planned);
     std::filesystem::remove(cal_path);
   }
+  {
+    // Anything but 0/1 is rejected, naming the variable, instead of
+    // silently falling back to the config.
+    ScopedEnv env("SIA_AUTOTUNE", "yes");
+    Sip sip(sweep_config());
+    try {
+      sip.run_source(sweep_source());
+      FAIL() << "SIA_AUTOTUNE=yes was accepted";
+    } catch (const Error& error) {
+      EXPECT_NE(std::string(error.what()).find("SIA_AUTOTUNE"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

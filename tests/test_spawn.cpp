@@ -164,6 +164,74 @@ TEST(SpawnParityTest, SpawnServedStormMatchesThread) {
   EXPECT_GT(result.profile.served.server_requests, 0);
 }
 
+// Spawned ranks ship their whole RankReport: the per-line and per-pardo
+// profile, the window's counters, the worker totals and the screening
+// counters come back as in thread mode. A sparse array under a nonzero
+// threshold screens puts, gets and block dots; pardo iterations and the
+// screening counters are schedule-independent, so both transports must
+// report the same totals.
+std::string screened_source() {
+  return R"SIAL(
+sial screened_storm
+aoindex a = 1, norb
+aoindex k = 1, norb
+sparse distributed D(a,k)
+temp t(a,k)
+temp u(a,k)
+scalar lsum
+scalar total
+pardo a, k
+  execute fill_decay t(a,k) 2.0 7
+  put D(a,k) = t(a,k)
+endpardo a, k
+sip_barrier
+lsum = 0.0
+pardo a, k
+  get D(a,k)
+  u(a,k) = D(a,k)
+  lsum += u(a,k) * u(a,k)
+endpardo a, k
+total = 0.0
+collective total += lsum
+endsial
+)SIAL";
+}
+
+TEST(SpawnParityTest, SpawnShipsTheFullProfile) {
+  SipConfig config = dist_config("thread");
+  config.io_servers = 0;
+  config.worker_threads = 2;
+  config.sparse_threshold = 1e-3;
+  const RunResult thread = run_with_deadline(config, screened_source());
+  config.transport = "spawn";
+  const RunResult spawn = run_with_deadline(config, screened_source());
+  const ProfileReport& p = spawn.profile;
+
+  EXPECT_FALSE(p.lines.empty());
+  EXPECT_GT(p.total_elapsed, 0.0);
+  ASSERT_EQ(p.pardos.size(), thread.profile.pardos.size());
+  for (std::size_t i = 0; i < p.pardos.size(); ++i) {
+    EXPECT_EQ(p.pardos[i].pardo_id, thread.profile.pardos[i].pardo_id);
+    EXPECT_GT(p.pardos[i].iterations, 0) << "pardo " << i;
+    EXPECT_EQ(p.pardos[i].iterations, thread.profile.pardos[i].iterations)
+        << "pardo " << i;
+  }
+  EXPECT_TRUE(p.executor.any());
+  EXPECT_EQ(p.executor.threads, 2);
+  EXPECT_GT(spawn.workers.gets_issued + spawn.workers.gets_local, 0);
+  EXPECT_GT(spawn.workers.peak_local_doubles, 0u);
+  EXPECT_TRUE(p.screening.any());
+  EXPECT_GT(p.screening.puts_screened, 0);
+  EXPECT_EQ(p.screening.puts_screened, thread.profile.screening.puts_screened);
+  EXPECT_GT(p.screening.kernels_screened, 0);
+  EXPECT_EQ(p.screening.kernels_screened,
+            thread.profile.screening.kernels_screened);
+  EXPECT_EQ(p.screening.zero_reads, thread.profile.screening.zero_reads);
+  ASSERT_EQ(p.screening.arrays.size(), 1u);
+  EXPECT_EQ(p.screening.arrays[0].screened,
+            thread.profile.screening.arrays[0].screened);
+}
+
 // ---------------------------------------------------------------------
 // Chaos across real processes: drop, duplication, and delay injected
 // identically in every child (pure function of {seed, src, counter}),
