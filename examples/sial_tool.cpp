@@ -9,13 +9,15 @@
 //                                           performance (paper sec. VIII)
 //
 // Options: -w N (workers), -s N (io servers), -g N (segment size),
-//          -t N (compute threads per worker; 0 = serial interpreter),
+//          -t N (compute threads per worker; 0 = no dataflow window),
+//          --sparse-threshold X (screen sparse-array blocks with
+//          Frobenius norm below X; 0 = exact dense execution),
+//          --transport thread|loopback|spawn (ranks as threads, threads
+//          over sockets, or processes) — the knob table's six flags,
 //          -O0 / -O1 / -O2 (bytecode optimization level; default -O2),
 //          --dump-bytecode[=opt|raw] (annotated listing of the optimized
 //          bytecode, or the raw compiler output),
 //          -D name=value (symbolic constant; repeatable),
-//          --sparse-threshold X (screen sparse-array blocks with
-//          Frobenius norm below X; 0 = exact dense execution),
 //          --no-autotune (run with the configuration exactly as given;
 //          `run` otherwise plans at launch — knobs set on the command
 //          line are pinned and never overridden; SIA_AUTOTUNE=0/1 wins
@@ -26,15 +28,18 @@
 // runtime-chosen tuning parameters. Optimizer diagnostics (what was
 // hoisted, which barriers were dropped, which temps defeat renaming) are
 // rendered to stderr with caret snippets against the source.
-#include <charconv>
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "chem/integrals.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/number.hpp"
 #include "sial/compiler.hpp"
 #include "sial/diag.hpp"
 #include "sial/disasm.hpp"
@@ -56,22 +61,17 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-// Parses all of `text` as a number; trailing bytes make it a bad value.
-template <class T>
-bool parse_number(const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [stop, error] = std::from_chars(text, end, out);
-  return error == std::errc() && stop == end && end != text;
-}
-
 int usage() {
+  std::string flags;
+  for (const sia::Knob& knob : sia::knobs()) {
+    if (knob.flag == nullptr) continue;
+    flags += std::string(" [") + knob.flag + " " + knob.name + "]";
+  }
   std::fprintf(stderr,
-               "usage: sial_tool {compile|dryrun|run|plan|model} <file.sial> "
-               "[-w workers] [-s servers] [-g segment] [-t threads] "
-               "[-O0|-O1|-O2] [--dump-bytecode[=opt|raw]] "
-               "[--sparse-threshold X] [-D name=value]... "
-               "[--no-autotune] "
-               "[--transport thread|loopback|spawn]\n");
+               "usage: sial_tool {compile|dryrun|run|plan|model} <file.sial>"
+               "%s [-O0|-O1|-O2] [--dump-bytecode[=opt|raw]] "
+               "[-D name=value]... [--no-autotune]\n",
+               flags.c_str());
   return 2;
 }
 
@@ -93,24 +93,20 @@ int main(int argc, char** argv) {
   bool dump_bytecode = false;
   bool dump_raw = false;
   bool no_autotune = false;
-  // Reads the option's value into `out`; false (after saying why) when
-  // it is not a number from end to end.
-  const auto value = [&](int& arg, auto& out) {
-    const char* flag = argv[arg];
-    const char* text = argv[++arg];
-    if (parse_number(text, out)) return true;
-    std::fprintf(stderr, "sial_tool: bad value for %s: '%s'\n", flag, text);
-    return false;
-  };
+  const std::span<const sia::Knob> knobs = sia::knobs();
   for (int arg = 3; arg < argc; ++arg) {
-    if (std::strcmp(argv[arg], "-w") == 0 && arg + 1 < argc) {
-      if (!value(arg, config.workers)) return 2;
-    } else if (std::strcmp(argv[arg], "-s") == 0 && arg + 1 < argc) {
-      if (!value(arg, config.io_servers)) return 2;
-    } else if (std::strcmp(argv[arg], "-g") == 0 && arg + 1 < argc) {
-      if (!value(arg, config.default_segment)) return 2;
-    } else if (std::strcmp(argv[arg], "-t") == 0 && arg + 1 < argc) {
-      if (!value(arg, config.worker_threads)) return 2;
+    const auto knob = std::find_if(
+        knobs.begin(), knobs.end(), [&](const sia::Knob& k) {
+          return k.flag != nullptr && std::strcmp(k.flag, argv[arg]) == 0;
+        });
+    if (knob != knobs.end() && arg + 1 < argc) {
+      const char* flag = argv[arg];
+      const char* text = argv[++arg];
+      if (!knob->parse(config, text)) {
+        std::fprintf(stderr, "sial_tool: bad value for %s: '%s'\n", flag,
+                     text);
+        return 2;
+      }
     } else if (std::strncmp(argv[arg], "-O", 2) == 0 &&
                std::strlen(argv[arg]) == 3 && argv[arg][2] >= '0' &&
                argv[arg][2] <= '2') {
@@ -121,19 +117,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[arg], "--dump-bytecode=raw") == 0) {
       dump_bytecode = true;
       dump_raw = true;
-    } else if (std::strcmp(argv[arg], "--sparse-threshold") == 0 &&
-               arg + 1 < argc) {
-      if (!value(arg, config.sparse_threshold)) return 2;
     } else if (std::strcmp(argv[arg], "--no-autotune") == 0) {
       no_autotune = true;
-    } else if (std::strcmp(argv[arg], "--transport") == 0 && arg + 1 < argc) {
-      config.transport = argv[++arg];
     } else if (std::strcmp(argv[arg], "-D") == 0 && arg + 1 < argc) {
       const std::string def = argv[++arg];
       const std::size_t eq = def.find('=');
       if (eq == std::string::npos) return usage();
-      if (!parse_number(def.c_str() + eq + 1,
-                        config.constants[def.substr(0, eq)])) {
+      if (!sia::parse_number(std::string_view(def).substr(eq + 1),
+                             config.constants[def.substr(0, eq)])) {
         std::fprintf(stderr, "sial_tool: bad value for -D: '%s'\n",
                      def.c_str());
         return 2;

@@ -9,9 +9,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <variant>
 
 namespace sia {
 
@@ -49,10 +53,15 @@ struct FaultPlan {
   // Parses the plan string above; throws Error with the offending token
   // on malformed input. Empty string -> empty plan.
   static FaultPlan parse(const std::string& text);
+  // The inverse of parse: the keys that differ from an empty plan, with
+  // probabilities at full precision (%.17g). Empty plan -> "".
+  std::string to_string() const;
   // Reads SIA_FAULT_PLAN from the environment (empty plan if unset).
   static FaultPlan from_env();
 
   void validate() const;
+
+  bool operator==(const FaultPlan&) const = default;
 };
 
 // Configuration of a SIP launch. Defaults give a small, laptop-friendly
@@ -168,13 +177,10 @@ struct SipConfig {
 
   // ---- Launch-time autotuning (the planner) ----
 
-  // Sweep the tunable knobs above (worker_threads, window_limit,
-  // prefetch_depth, chunk_divisor/min_chunk, segment size, put
-  // coalescing, server knobs) through the DES performance model at
-  // launch and apply the winning plan before resolution. Knobs the user
-  // set explicitly (any field differing from a default-constructed
-  // SipConfig) are pinned and never overridden. The SIA_AUTOTUNE
-  // environment variable ("0"/"1") wins over this field either way.
+  // Sweep the knob table's planner axes through the DES performance
+  // model at launch and apply the winning plan before resolution. Axes
+  // the user moved off their defaults are pinned and never overridden.
+  // The SIA_AUTOTUNE environment variable ("0"/"1") wins either way.
   bool autotune = false;
 
   // Per-host calibration constants file (measured GEMM rate, fabric
@@ -282,8 +288,8 @@ struct SipConfig {
     return 0;
   }
 
-  // Validated copy with derived values filled in; throws Error on nonsense
-  // (e.g. workers < 1, segment < 1).
+  // Throws Error naming the knob out of its table bounds, or on a bad
+  // segment override, transport or kill_rank.
   void validate() const;
 
   int total_ranks() const { return 1 + workers + io_servers; }
@@ -293,6 +299,43 @@ struct SipConfig {
 
   // Segment size for a given index type name.
   int segment_for(const std::string& index_type) const;
+
+  bool operator==(const SipConfig&) const = default;
 };
+
+// The knob table (config.cpp) declares every scalar SipConfig field
+// once. A knob's name is its key in the spawn bundle, the planner's
+// pinned list and plan line, and validation messages.
+struct Knob {
+  using Member =
+      std::variant<int SipConfig::*, long SipConfig::*,
+                   std::size_t SipConfig::*, bool SipConfig::*,
+                   double SipConfig::*, std::string SipConfig::*,
+                   FaultPlan SipConfig::*>;
+
+  const char* name;
+  Member member;
+  const char* flag = nullptr;  // sial_tool spelling, e.g. "-w"
+  bool planner_axis = false;   // swept at launch unless the user set it
+  // Inclusive bounds validate() enforces; the defaults mean none.
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+
+  // The value as text: decimal, doubles at %.17g, bools on/off, fault
+  // plans in SIA_FAULT_PLAN syntax. parse is the inverse and reads the
+  // whole of `text` into the member's own type; false leaves the config
+  // untouched. Neither checks bounds.
+  std::string format(const SipConfig& config) const;
+  bool parse(SipConfig& config, std::string_view text) const;
+};
+
+std::span<const Knob> knobs();
+
+// SipConfig as `key=value` lines: every knob, then the maps as
+// `segment.<type>=`, `constant.<name>=` and `computed.<array>=` lines.
+// decode_config throws Error naming the key on an unknown key, a bad
+// value, or a value validate() rejects.
+std::string encode_config(const SipConfig& config);
+SipConfig decode_config(std::string_view text);
 
 }  // namespace sia

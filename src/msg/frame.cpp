@@ -85,7 +85,11 @@ void encode_message_frame(const Message& message, int dst,
   auto put_doubles = [&out](const double* values, std::size_t count) {
     const std::size_t at = out.size();
     out.resize(at + count * sizeof(double));
-    std::memcpy(out.data() + at, values, count * sizeof(double));
+    // memcpy from a null pointer is undefined even for zero bytes, and
+    // an empty vector's data() may be null.
+    if (count > 0) {
+      std::memcpy(out.data() + at, values, count * sizeof(double));
+    }
   };
   put_doubles(message.data.data(), message.data.size());
   if (message.block) {

@@ -127,7 +127,7 @@ RunResult Sip::run(const sial::CompiledProgram& program) {
   // Launch-time autotuning: sweep the knobs through the DES model and
   // apply the winning plan to config_ *before* resolution, so segment
   // size takes effect and spawn mode ships the tuned values in its
-  // bundle (children never re-plan: autotune is not serialized).
+  // bundle (children never re-plan: they never reach Sip::run).
   ProfileReport::Plan plan_record;
   Calibration calibration;
   std::string cal_path;

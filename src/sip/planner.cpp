@@ -1,6 +1,7 @@
 #include "sip/planner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -340,18 +341,12 @@ std::int64_t workload_tasks(const sim::WorkloadModel& workload) {
   return tasks;
 }
 
-std::string knob_summary(const SipConfig& cfg) {
-  std::ostringstream out;
-  out << "segment=" << cfg.default_segment
-      << " worker_threads=" << cfg.worker_threads
-      << " window=" << cfg.window_limit
-      << " prefetch=" << cfg.prefetch_depth
-      << " chunk_divisor=" << cfg.chunk_divisor
-      << " min_chunk=" << cfg.min_chunk
-      << " coalesce_puts=" << (cfg.coalesce_puts ? "on" : "off")
-      << " disk_threads=" << cfg.server_disk_threads
-      << " server_cache_mb=" << (cfg.server_cache_bytes >> 20);
-  return out.str();
+// The planner's name for an axis: `segment` spans default_segment and
+// the per-type segment overrides.
+const Knob::Member kSegmentAxis = &SipConfig::default_segment;
+
+const char* axis_name(const Knob& knob) {
+  return knob.member == kSegmentAxis ? "segment" : knob.name;
 }
 
 }  // namespace
@@ -364,28 +359,19 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   choice.calibrated = cal.runs > 0;
 
   // A knob is pinned exactly when the user moved it off its default.
-  const bool pin_segment =
-      base.default_segment != defaults.default_segment ||
-      !base.segment_overrides.empty();
-  const bool pin_threads = base.worker_threads != defaults.worker_threads;
-  const bool pin_window = base.window_limit != defaults.window_limit;
-  const bool pin_prefetch = base.prefetch_depth != defaults.prefetch_depth;
-  const bool pin_divisor = base.chunk_divisor != defaults.chunk_divisor;
-  const bool pin_min_chunk = base.min_chunk != defaults.min_chunk;
-  const bool pin_coalesce = base.coalesce_puts != defaults.coalesce_puts;
-  const bool pin_disk_threads =
-      base.server_disk_threads != defaults.server_disk_threads;
-  const bool pin_server_cache =
-      base.server_cache_bytes != defaults.server_cache_bytes;
-  if (pin_segment) choice.pinned.push_back("segment");
-  if (pin_threads) choice.pinned.push_back("worker_threads");
-  if (pin_window) choice.pinned.push_back("window_limit");
-  if (pin_prefetch) choice.pinned.push_back("prefetch_depth");
-  if (pin_divisor) choice.pinned.push_back("chunk_divisor");
-  if (pin_min_chunk) choice.pinned.push_back("min_chunk");
-  if (pin_coalesce) choice.pinned.push_back("coalesce_puts");
-  if (pin_disk_threads) choice.pinned.push_back("server_disk_threads");
-  if (pin_server_cache) choice.pinned.push_back("server_cache_bytes");
+  std::vector<Knob::Member> pinned;
+  for (const Knob& knob : knobs()) {
+    if (!knob.planner_axis) continue;
+    const bool overrides = knob.member == kSegmentAxis &&
+                           !base.segment_overrides.empty();
+    if (knob.format(base) != knob.format(defaults) || overrides) {
+      pinned.push_back(knob.member);
+      choice.pinned.push_back(axis_name(knob));
+    }
+  }
+  const auto is_pinned = [&pinned](Knob::Member member) {
+    return std::find(pinned.begin(), pinned.end(), member) != pinned.end();
+  };
 
   // Resolution and workload modeling are per segment; everything else
   // reuses the cached context.
@@ -425,13 +411,13 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   // never predicted slower than serial (acceptance floor); when the user
   // pinned worker_threads the pin wins and the seed is the base itself.
   SipConfig best = base;
-  if (!pin_threads) best.worker_threads = 0;
+  if (!is_pinned(&SipConfig::worker_threads)) best.worker_threads = 0;
   double best_seconds = eval(best);
   choice.baseline_seconds = best_seconds;
 
   const int cores = host.resolved_cores();
   std::vector<int> segments;
-  if (pin_segment) {
+  if (is_pinned(&SipConfig::default_segment)) {
     segments = {base.default_segment};
   } else {
     segments = {base.default_segment, 2,  4,  6,  8,  12, 16,
@@ -455,52 +441,34 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     // unpinned: the sweep tries every thread count anyway, strict-
     // improvement ties then resolve to 0, and the emitted plan never
     // contains the ambiguous -1 auto value.
-    if (!pin_threads) cfg.worker_threads = 0;
+    if (!is_pinned(&SipConfig::worker_threads)) cfg.worker_threads = 0;
     double seconds = eval(cfg);
     // Coordinate descent from the user's configuration, two passes so
     // knobs that interact (threads and window, prefetch and chunking)
     // settle. Strict improvement only: ties keep the earlier value, so
     // the sweep is deterministic and defaults win ties.
     for (int pass = 0; pass < 2; ++pass) {
-      auto try_value = [&](auto field, auto value) {
-        SipConfig trial = cfg;
-        trial.*field = value;
-        const double t = eval(trial);
-        if (t < seconds) {
-          seconds = t;
-          cfg = trial;
+      // Tries each value of an unpinned knob in turn.
+      const auto sweep = [&](auto field, const auto& values) {
+        if (is_pinned(field)) return;
+        for (const auto value : values) {
+          SipConfig trial = cfg;
+          trial.*field = value;
+          const double t = eval(trial);
+          if (t < seconds) {
+            seconds = t;
+            cfg = trial;
+          }
         }
       };
-      if (!pin_threads) {
-        for (const int t : thread_cands) {
-          try_value(&SipConfig::worker_threads, t);
-        }
+      sweep(&SipConfig::worker_threads, thread_cands);
+      if (resolved_threads(cfg, cores) >= 1) {
+        sweep(&SipConfig::window_limit, std::array{8, 16, 32, 64, 128});
       }
-      if (!pin_window && resolved_threads(cfg, cores) >= 1) {
-        for (const int w : {8, 16, 32, 64, 128}) {
-          try_value(&SipConfig::window_limit, w);
-        }
-      }
-      if (!pin_prefetch) {
-        for (const int d : {0, 1, 2, 4, 8}) {
-          try_value(&SipConfig::prefetch_depth, d);
-        }
-      }
-      if (!pin_divisor) {
-        for (const int d : {1, 2, 4, 8}) {
-          try_value(&SipConfig::chunk_divisor, d);
-        }
-      }
-      if (!pin_min_chunk) {
-        for (const long m : {1L, 2L, 4L, 8L}) {
-          try_value(&SipConfig::min_chunk, m);
-        }
-      }
-      if (!pin_coalesce) {
-        for (const bool c : {true, false}) {
-          try_value(&SipConfig::coalesce_puts, c);
-        }
-      }
+      sweep(&SipConfig::prefetch_depth, std::array{0, 1, 2, 4, 8});
+      sweep(&SipConfig::chunk_divisor, std::array{1, 2, 4, 8});
+      sweep(&SipConfig::min_chunk, std::array{1L, 2L, 4L, 8L});
+      sweep(&SipConfig::coalesce_puts, std::array{true, false});
     }
     if (seconds < best_seconds) {
       best_seconds = seconds;
@@ -523,10 +491,10 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
     } catch (const std::exception&) {
     }
     if (served_total > 0) {
-      if (!pin_disk_threads) {
+      if (!is_pinned(&SipConfig::server_disk_threads)) {
         best.server_disk_threads = std::clamp(cores / 2, 1, 4);
       }
-      if (!pin_server_cache) {
+      if (!is_pinned(&SipConfig::server_cache_bytes)) {
         const std::size_t per_server =
             served_total / static_cast<std::size_t>(base.io_servers);
         best.server_cache_bytes =
@@ -550,7 +518,11 @@ PlanChoice plan_launch(const sial::CompiledProgram& optimized,
   choice.config = best;
   choice.predicted_seconds = best_seconds;
   choice.candidates = evals;
-  choice.summary = knob_summary(best);
+  for (const Knob& knob : knobs()) {
+    if (!knob.planner_axis) continue;
+    choice.summary += choice.summary.empty() ? "" : " ";
+    choice.summary += std::string(axis_name(knob)) + "=" + knob.format(best);
+  }
   return choice;
 }
 

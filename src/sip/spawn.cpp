@@ -5,15 +5,16 @@
 
 #include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/number.hpp"
 #include "common/posix_io.hpp"
 #include "msg/chaos.hpp"
 #include "msg/frame.hpp"
@@ -32,16 +33,10 @@ namespace sia::sip {
 
 namespace {
 
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 // ---------------------------------------------------------------------
-// Bundle: the key=value config + SIAL source a child rebuilds its half
-// of the launch from. The `source=<bytes>` line is last; the raw source
-// follows it unescaped.
+// Bundle: what a child rebuilds its half of the launch from. A
+// `connect=<hub address>` line, encode_config of the launch's config with
+// its resolved scratch directory, an empty line, then the SIAL source.
 
 struct Bundle {
   SipConfig config;
@@ -49,163 +44,22 @@ struct Bundle {
   std::string source;
 };
 
-void append_kv(std::string& out, const std::string& key,
-               const std::string& value) {
-  out += key;
-  out += '=';
-  out += value;
-  out += '\n';
-}
-
-std::string serialize_bundle(const SipConfig& c, const std::string& connect,
+std::string serialize_bundle(SipConfig config, const std::string& connect,
                              const std::string& scratch_dir,
                              const std::string& source) {
-  std::string out;
-  const auto num = [&out](const char* key, long long value) {
-    append_kv(out, key, std::to_string(value));
-  };
-  num("workers", c.workers);
-  num("io_servers", c.io_servers);
-  num("default_segment", c.default_segment);
-  num("subsegments_per_segment", c.subsegments_per_segment);
-  num("worker_memory_bytes", static_cast<long long>(c.worker_memory_bytes));
-  num("server_cache_bytes", static_cast<long long>(c.server_cache_bytes));
-  num("opt_level", c.opt_level);
-  num("prefetch_depth", c.prefetch_depth);
-  num("worker_threads", c.worker_threads);
-  num("window_limit", c.window_limit);
-  num("server_disk_threads", c.server_disk_threads);
-  num("server_cold_io", c.server_cold_io ? 1 : 0);
-  append_kv(out, "sparse_threshold", format_double(c.sparse_threshold));
-  num("coalesce_puts", c.coalesce_puts ? 1 : 0);
-  num("batch_gets", c.batch_gets ? 1 : 0);
-  num("chunk_divisor", c.chunk_divisor);
-  num("min_chunk", c.min_chunk);
-  num("work_stealing", c.work_stealing ? 1 : 0);
-  num("profiling", c.profiling ? 1 : 0);
-  num("reliable_protocol", c.reliable_protocol ? 1 : 0);
-  num("retry_timeout_ms", c.retry_timeout_ms);
-  num("retry_max", c.retry_max);
-  num("heartbeat_ms", c.heartbeat_ms);
-  num("heartbeat_misses", c.heartbeat_misses);
-  num("server_recovery", c.server_recovery ? 1 : 0);
-  num("connect_timeout_ms", c.connect_timeout_ms);
-  append_kv(out, "fault.drop", format_double(c.fault_plan.drop));
-  append_kv(out, "fault.dup", format_double(c.fault_plan.dup));
-  append_kv(out, "fault.reorder", format_double(c.fault_plan.reorder));
-  num("fault.delay_ms", c.fault_plan.delay_ms);
-  num("fault.delay_jitter_ms", c.fault_plan.delay_jitter_ms);
-  num("fault.kill_rank", c.fault_plan.kill_rank);
-  num("fault.kill_at_msg", c.fault_plan.kill_at_msg);
-  num("fault.disk_fault", c.fault_plan.disk_fault);
-  num("fault.disk_fault_at_op", c.fault_plan.disk_fault_at_op);
-  num("fault.seed", static_cast<long long>(c.fault_plan.seed));
-  append_kv(out, "scratch_dir", scratch_dir);
-  for (const auto& [type, seg] : c.segment_overrides) {
-    append_kv(out, "segment." + type, std::to_string(seg));
-  }
-  for (const auto& [name, value] : c.constants) {
-    append_kv(out, "constant." + name, std::to_string(value));
-  }
-  for (const auto& [array, generator] : c.computed_served) {
-    append_kv(out, "computed." + array, generator);
-  }
-  append_kv(out, "connect", connect);
-  append_kv(out, "source", std::to_string(source.size()));
-  out += source;
-  return out;
-}
-
-long long parse_ll(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(value, &used);
-    if (used == value.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw Error("spawn bundle: bad value for '" + key + "': '" + value + "'");
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used == value.size()) return v;
-  } catch (const std::exception&) {
-  }
-  throw Error("spawn bundle: bad value for '" + key + "': '" + value + "'");
+  config.scratch_dir = scratch_dir;
+  return "connect=" + connect + "\n" + encode_config(config) + "\n" + source;
 }
 
 Bundle parse_bundle(const std::string& text) {
-  Bundle b;
-  SipConfig& c = b.config;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) {
-      throw Error("spawn bundle: unterminated line");
-    }
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw Error("spawn bundle: expected key=value, got '" + line + "'");
-    }
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "source") {
-      const std::size_t bytes =
-          static_cast<std::size_t>(parse_ll(key, value));
-      if (pos + bytes > text.size()) {
-        throw Error("spawn bundle: source truncated");
-      }
-      b.source = text.substr(pos, bytes);
-      return b;  // source is always last
-    }
-    if (key == "workers") c.workers = static_cast<int>(parse_ll(key, value));
-    else if (key == "io_servers") c.io_servers = static_cast<int>(parse_ll(key, value));
-    else if (key == "default_segment") c.default_segment = static_cast<int>(parse_ll(key, value));
-    else if (key == "subsegments_per_segment") c.subsegments_per_segment = static_cast<int>(parse_ll(key, value));
-    else if (key == "worker_memory_bytes") c.worker_memory_bytes = static_cast<std::size_t>(parse_ll(key, value));
-    else if (key == "server_cache_bytes") c.server_cache_bytes = static_cast<std::size_t>(parse_ll(key, value));
-    else if (key == "opt_level") c.opt_level = static_cast<int>(parse_ll(key, value));
-    else if (key == "prefetch_depth") c.prefetch_depth = static_cast<int>(parse_ll(key, value));
-    else if (key == "worker_threads") c.worker_threads = static_cast<int>(parse_ll(key, value));
-    else if (key == "window_limit") c.window_limit = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_disk_threads") c.server_disk_threads = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_cold_io") c.server_cold_io = parse_ll(key, value) != 0;
-    else if (key == "sparse_threshold") c.sparse_threshold = parse_double(key, value);
-    else if (key == "coalesce_puts") c.coalesce_puts = parse_ll(key, value) != 0;
-    else if (key == "batch_gets") c.batch_gets = parse_ll(key, value) != 0;
-    else if (key == "chunk_divisor") c.chunk_divisor = static_cast<int>(parse_ll(key, value));
-    else if (key == "min_chunk") c.min_chunk = parse_ll(key, value);
-    else if (key == "work_stealing") c.work_stealing = parse_ll(key, value) != 0;
-    else if (key == "profiling") c.profiling = parse_ll(key, value) != 0;
-    else if (key == "reliable_protocol") c.reliable_protocol = parse_ll(key, value) != 0;
-    else if (key == "retry_timeout_ms") c.retry_timeout_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "retry_max") c.retry_max = static_cast<int>(parse_ll(key, value));
-    else if (key == "heartbeat_ms") c.heartbeat_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "heartbeat_misses") c.heartbeat_misses = static_cast<int>(parse_ll(key, value));
-    else if (key == "server_recovery") c.server_recovery = parse_ll(key, value) != 0;
-    else if (key == "connect_timeout_ms") c.connect_timeout_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.drop") c.fault_plan.drop = parse_double(key, value);
-    else if (key == "fault.dup") c.fault_plan.dup = parse_double(key, value);
-    else if (key == "fault.reorder") c.fault_plan.reorder = parse_double(key, value);
-    else if (key == "fault.delay_ms") c.fault_plan.delay_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.delay_jitter_ms") c.fault_plan.delay_jitter_ms = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.kill_rank") c.fault_plan.kill_rank = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.kill_at_msg") c.fault_plan.kill_at_msg = parse_ll(key, value);
-    else if (key == "fault.disk_fault") c.fault_plan.disk_fault = static_cast<int>(parse_ll(key, value));
-    else if (key == "fault.disk_fault_at_op") c.fault_plan.disk_fault_at_op = parse_ll(key, value);
-    else if (key == "fault.seed") c.fault_plan.seed = static_cast<std::uint64_t>(parse_ll(key, value));
-    else if (key == "scratch_dir") c.scratch_dir = value;
-    else if (key.rfind("segment.", 0) == 0) c.segment_overrides[key.substr(8)] = static_cast<int>(parse_ll(key, value));
-    else if (key.rfind("constant.", 0) == 0) c.constants[key.substr(9)] = parse_ll(key, value);
-    else if (key.rfind("computed.", 0) == 0) c.computed_served[key.substr(9)] = value;
-    else if (key == "connect") b.connect = value;
-    else throw Error("spawn bundle: unknown key '" + key + "'");
+  // Config lines are never empty, so the first empty line ends them.
+  const std::size_t eol = text.find('\n');
+  const std::size_t end = text.find("\n\n");
+  if (!text.starts_with("connect=") || end == std::string::npos) {
+    throw Error("spawn bundle: expected connect, config and source sections");
   }
-  throw Error("spawn bundle: missing source section");
+  return {decode_config(std::string_view(text).substr(eol + 1, end - eol)),
+          text.substr(8, eol - 8), text.substr(end + 2)};
 }
 
 // Writes `message` from `rank` over a fresh one-shot connection to the
@@ -320,11 +174,11 @@ int run_spawn_child(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--rank" && i + 1 < argc) {
-      rank = std::atoi(argv[++i]);
+      parse_number(argv[++i], rank);
     } else if (arg == "--bundle" && i + 1 < argc) {
       bundle_path = argv[++i];
     } else if (arg == "--incarnation" && i + 1 < argc) {
-      incarnation = std::atoi(argv[++i]);
+      parse_number(argv[++i], incarnation);
     }
   }
   std::string connect;  // known once the bundle parses; used for aborts

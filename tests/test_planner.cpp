@@ -6,6 +6,7 @@
 // leave every result bit-identical, including under chaos fault plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -166,6 +167,49 @@ TEST(PlannerTest, PinnedKnobsAreNeverOverridden) {
   EXPECT_TRUE(pinned_has("worker_threads"));
   EXPECT_TRUE(pinned_has("prefetch_depth"));
   EXPECT_TRUE(pinned_has("segment"));
+
+  // The window and chunking axes, on a threaded engine so the window is
+  // swept at all.
+  SipConfig sweep = sweep_config();
+  sweep.worker_threads = 1;
+  sweep.window_limit = 24;
+  sweep.chunk_divisor = 3;
+  sweep.min_chunk = 5;
+  sweep.coalesce_puts = false;
+  const PlanChoice swept =
+      plan_launch(optimized_sweep(sweep), sweep, Calibration{}, HostModel{4});
+  EXPECT_EQ(swept.config.window_limit, 24);
+  EXPECT_EQ(swept.config.chunk_divisor, 3);
+  EXPECT_EQ(swept.config.min_chunk, 5);
+  EXPECT_FALSE(swept.config.coalesce_puts);
+  const auto listed = [](const PlanChoice& plan, const char* name) {
+    return std::find(plan.pinned.begin(), plan.pinned.end(), name) !=
+           plan.pinned.end();
+  };
+  for (const char* name :
+       {"window_limit", "chunk_divisor", "min_chunk", "coalesce_puts"}) {
+    EXPECT_TRUE(listed(swept, name)) << name;
+  }
+
+  // The server axes are only planned for a program with served arrays
+  // and at least one I/O server; unpinned, 8 cores would give 4 disk
+  // threads.
+  SipConfig served;
+  served.workers = 2;
+  served.io_servers = 1;
+  served.constants = {{"norb", 32}, {"nsweeps", 1}, {"nshared", 8}};
+  served.server_disk_threads = 3;
+  served.server_cache_bytes = std::size_t{1} << 20;
+  const PlanChoice io = plan_launch(
+      sial::opt::optimize(sial::compile_sial(chem::io_storm_source()),
+                          served.opt_level)
+          .program,
+      served, Calibration{}, HostModel{8});
+  ASSERT_GT(io.candidates, 0);
+  EXPECT_EQ(io.config.server_disk_threads, 3);
+  EXPECT_EQ(io.config.server_cache_bytes, std::size_t{1} << 20);
+  EXPECT_TRUE(listed(io, "server_disk_threads"));
+  EXPECT_TRUE(listed(io, "server_cache_bytes"));
 }
 
 // ---------------------------------------------------------------------
