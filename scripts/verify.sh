@@ -27,7 +27,8 @@ ctest --output-on-failure -L chaos
 echo "== planner bench =="
 # End-to-end autotune check: plans, runs, calibrates, and exits nonzero
 # if a tuned run's checksum drifts from the hand-configured cells. The
-# JSON stays in the build tree; the committed BENCH_plan.json is only
-# refreshed by the bench_json target.
-"$build/bench/plan_json" "$build/BENCH_plan.json"
+# JSON stays in the build tree (the committed BENCH_runtime.json is only
+# refreshed by the bench_json target); json.tool fails on a malformed file.
+"$build/bench/bench_json" "$build/BENCH_plan_check.json" plan
+python3 -m json.tool "$build/BENCH_plan_check.json" > /dev/null
 echo "verify: all suites passed"

@@ -82,7 +82,10 @@ void DistArrayManager::issue_get(const BlockId& id, bool implicit) {
   pending_.emplace(id, epoch_);
   msg::Message request;
   request.tag = msg::kBlockGetRequest;
-  request.header = {id.array_id, linear_of(id), my_rank_};
+  // The requester's epoch rides the request: the home checks write
+  // records against it, not against its own epoch, which may still lag
+  // a barrier the requester has already passed.
+  request.header = {id.array_id, linear_of(id), my_rank_, epoch_};
   if (channel_ != nullptr) {
     channel_->send_request(owner, std::move(request));
   } else {
@@ -126,9 +129,10 @@ bool DistArrayManager::pending(const BlockId& id) const {
 }
 
 void DistArrayManager::check_write_conflict(const BlockId& id, int writer,
-                                            bool accumulate) {
+                                            bool accumulate,
+                                            std::int64_t epoch) {
   WriteRecord& record = write_records_[id];
-  if (record.epoch == epoch_) {
+  if (record.epoch == epoch) {
     if (record.accumulate != accumulate) {
       throw RuntimeError(
           "conflicting put and put+= on block " + id.to_string() + " of '" +
@@ -142,7 +146,7 @@ void DistArrayManager::check_write_conflict(const BlockId& id, int writer,
           "' without an intervening sip_barrier");
     }
   }
-  record.epoch = epoch_;
+  record.epoch = epoch;
   record.writer = writer;
   record.accumulate = accumulate;
 }
@@ -153,7 +157,7 @@ void DistArrayManager::send_put_message(const BlockId& id,
   ++stats_.puts_remote;
   msg::Message message;
   message.tag = accumulate ? msg::kBlockPutAcc : msg::kBlockPut;
-  message.header = {id.array_id, linear_of(id), my_rank_};
+  message.header = {id.array_id, linear_of(id), my_rank_, epoch_};
   message.block = std::move(exclusive_data);
   if (channel_ != nullptr) {
     // Tracked ordered send: retransmitted until the home worker acks,
@@ -176,7 +180,7 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
     const double norm = data->norm();
     ++stats_.puts_screened;
     if (owner == my_rank_) {
-      check_write_conflict(id, my_rank_, accumulate);
+      check_write_conflict(id, my_rank_, accumulate, epoch_);
       if (!accumulate) {
         auto it = home_.find(id);
         if (it != home_.end()) {
@@ -196,7 +200,8 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
     ++stats_.puts_remote;
     msg::Message message;
     message.tag = msg::kBlockPut;
-    message.header = {id.array_id, linear_of(id), my_rank_, /*screened=*/1};
+    message.header = {id.array_id, linear_of(id), my_rank_, epoch_,
+                      /*screened=*/1};
     message.data = {norm};
     if (channel_ != nullptr) {
       channel_->send_ordered(owner, std::move(message));
@@ -208,7 +213,7 @@ void DistArrayManager::put(const BlockId& id, BlockPtr data,
   if (owner == my_rank_) {
     ++stats_.puts_local;
     screened_norms_.erase(id);
-    check_write_conflict(id, my_rank_, accumulate);
+    check_write_conflict(id, my_rank_, accumulate, epoch_);
     if (data->size() != shape_of(id).element_count()) {
       throw RuntimeError("put: shape mismatch for block " + id.to_string());
     }
@@ -351,6 +356,7 @@ void DistArrayManager::handle_get_request(const msg::Message& message) {
   const int array_id = static_cast<int>(message.header[0]);
   const std::int64_t linear = message.header[1];
   const int reply_rank = static_cast<int>(message.header[2]);
+  const std::int64_t requester_epoch = message.header[3];
   const BlockId id = id_from_linear(array_id, linear);
 
   auto it = home_.find(id);
@@ -385,7 +391,7 @@ void DistArrayManager::handle_get_request(const msg::Message& message) {
   }
   // Conflict: a get in the same epoch as a write by a different worker.
   auto rec = write_records_.find(id);
-  if (rec != write_records_.end() && rec->second.epoch == epoch_ &&
+  if (rec != write_records_.end() && rec->second.epoch == requester_epoch &&
       rec->second.writer != reply_rank) {
     throw RuntimeError(
         "get of block " + id.to_string() + " of '" +
@@ -439,9 +445,9 @@ void DistArrayManager::handle_put(msg::Message& message, bool accumulate) {
   const int array_id = static_cast<int>(message.header[0]);
   const BlockId id = id_from_linear(array_id, message.header[1]);
   const int writer = static_cast<int>(message.header[2]);
-  check_write_conflict(id, writer, accumulate);
+  check_write_conflict(id, writer, accumulate, message.header[3]);
 
-  if (message.header.size() > 3 && message.header[3] != 0) {
+  if (message.header.size() > 4 && message.header[4] != 0) {
     // Screened replace marker: the sender's payload was below the
     // threshold, so the block becomes a norm-table entry with no storage.
     auto it = home_.find(id);

@@ -139,7 +139,10 @@ class DistArrayManager {
   };
 
   // Applies the conflict rules for a write arriving at the home store.
-  void check_write_conflict(const BlockId& id, int writer, bool accumulate);
+  // `epoch` is the writer's: a home that lags a barrier still records
+  // the write in the epoch it was issued in.
+  void check_write_conflict(const BlockId& id, int writer, bool accumulate,
+                            std::int64_t epoch);
 
   // Replaces `block` with a private pool-backed copy if any alias exists
   // outside `block` itself (a get reply in flight, a remote cache). Home

@@ -264,7 +264,8 @@ TEST_F(DiskStoreTest, WriteBehindBatchesWritesOfOneArray) {
 
 TEST_F(DiskStoreTest, LegacyWriterRetiresOneBlockPerBatch) {
   // batched=false reproduces the pre-pipeline policy: one block and one
-  // presence-map pwrite per write (the serial baseline of BENCH_io.json).
+  // presence-map pwrite per write (the serial cell of the `io` grid in
+  // BENCH_runtime.json).
   DiskStore store(dir_, "wb", 4, 16);
   WriteBehind writer(/*lanes=*/1, /*batched=*/false);
   writer.pause();

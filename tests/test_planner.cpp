@@ -101,9 +101,10 @@ TEST(PlannerTest, SweepIsDeterministic) {
 }
 
 TEST(PlannerTest, OneCoreHostChoosesSerialEngine) {
-  // The BENCH_pardo regression: on a 1-core host the windowed executor
-  // only adds synchronization and oversubscription cost, so the planner
-  // must keep the serial interpreter.
+  // On a 1-core host the windowed executor only adds synchronization and
+  // oversubscription cost (1-core runs of the `pardo` grid of
+  // bench/bench_json lose with threads), so the planner must keep the
+  // serial interpreter.
   const SipConfig base = sweep_config();
   const PlanChoice choice =
       plan_launch(optimized_sweep(base), base, Calibration{}, HostModel{1});

@@ -2,7 +2,13 @@
 // and barrier-epoch semantics across worker counts.
 #include <gtest/gtest.h>
 
+#include "block/block_pool.hpp"
+#include "msg/fabric.hpp"
+#include "msg/tags.hpp"
+#include "sial/compiler.hpp"
+#include "sip/dist_array.hpp"
 #include "sip/launch.hpp"
+#include "sip/shared.hpp"
 
 namespace sia::sip {
 namespace {
@@ -352,6 +358,101 @@ collective total += lsum
 )",
                                config_with(2));
   EXPECT_NEAR(result.scalar("total"), 0.0, 1e-18);
+}
+
+// Barrier epochs at one home store, driven with hand-built messages. A
+// get or put carries the epoch its sender was in, and the home checks
+// write records against that epoch rather than its own, which lags
+// whenever the home has not yet processed its own barrier release.
+class HomeEpochTest : public ::testing::Test {
+ protected:
+  HomeEpochTest()
+      : program_(sial::compile_sial("sial epochs\nmoindex i = 1, n\n"
+                                    "distributed d(i)\nendsial\n"),
+                 config_),
+        fabric_(config_.total_ranks()) {
+    shared_.program = &program_;
+    shared_.fabric = &fabric_;
+    shared_.config = config_;
+    const int segment = 1;
+    id_ = BlockId(0, {&segment, 1});
+    linear_ = id_.linearize(program_.array(0).num_segments);
+    // Workers are ranks 1..3: the block's home, and two others that play
+    // the writer and the requester.
+    home_ = shared_.owner_rank(id_);
+    writer_ = home_ % 3 + 1;
+    requester_ = writer_ % 3 + 1;
+    dist_ = std::make_unique<DistArrayManager>(shared_, home_, pool_, 1024);
+  }
+
+  void put_from(int writer, std::int64_t epoch) {
+    msg::Message message;
+    message.src = writer;
+    message.tag = msg::kBlockPut;
+    message.header = {id_.array_id, linear_, writer, epoch};
+    message.data.assign(3, 1.0);
+    dist_->handle_put(message, /*accumulate=*/false);
+  }
+
+  void get_from(int requester, std::int64_t epoch) {
+    msg::Message message;
+    message.src = requester;
+    message.tag = msg::kBlockGetRequest;
+    message.header = {id_.array_id, linear_, requester, epoch};
+    dist_->handle_get_request(message);
+  }
+
+  // Runs `body` and returns the RuntimeError it raised ("" if none).
+  template <typename Body>
+  static std::string error_of(Body body) {
+    try {
+      body();
+    } catch (const RuntimeError& error) {
+      return error.what();
+    }
+    return "";
+  }
+
+  const SipConfig config_ = config_with(3);
+  sial::ResolvedProgram program_;
+  msg::Fabric fabric_;
+  SipShared shared_;
+  BlockPool pool_;
+  std::unique_ptr<DistArrayManager> dist_;
+  BlockId id_;
+  std::int64_t linear_ = 0;
+  int home_ = 0, writer_ = 0, requester_ = 0;
+};
+
+TEST_F(HomeEpochTest, LaggingHomeServesGetFromNextEpoch) {
+  // The home is still in epoch 0; the requester has passed the barrier.
+  ASSERT_EQ(dist_->epoch(), 0);
+  put_from(writer_, 0);
+  EXPECT_EQ(error_of([&] { get_from(requester_, 1); }), "");
+  const std::optional<msg::Message> reply = fabric_.try_recv(requester_);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->tag, msg::kBlockGetReply);
+  EXPECT_EQ(reply->header.at(2), 1) << "block found";
+}
+
+TEST_F(HomeEpochTest, GetInTheWritersEpochStillThrows) {
+  put_from(writer_, 0);
+  EXPECT_NE(error_of([&] { get_from(requester_, 0); })
+                .find("same epoch as a put by another worker"),
+            std::string::npos);
+}
+
+TEST_F(HomeEpochTest, TwoWritersInOneEpochStillThrow) {
+  // Both puts are tagged epoch 1 while the home is still in epoch 0.
+  put_from(writer_, 1);
+  EXPECT_NE(error_of([&] { put_from(requester_, 1); })
+                .find("two workers put"),
+            std::string::npos);
+}
+
+TEST_F(HomeEpochTest, WritersInDifferentEpochsDoNotConflict) {
+  put_from(writer_, 0);
+  EXPECT_EQ(error_of([&] { put_from(requester_, 1); }), "");
 }
 
 }  // namespace
