@@ -175,6 +175,7 @@ std::vector<std::pair<const char*, double>> columns(
       {"window_peak", x.window_peak}, {"avg_occupancy", x.avg_occupancy()},
       {"drain_wait_ms", x.drain_wait_seconds * 1e3},
       {"pool_busy_ms", x.thread_busy_seconds * 1e3},
+      {"tasks_helped", x.tasks_helped}, {"help_ms", x.help_seconds * 1e3},
       // Served-array pipeline.
       {"client_requests_issued", s.client_requests_issued},
       {"client_requests_cached", s.client_requests_cached},

@@ -31,4 +31,10 @@ echo "== planner bench =="
 # refreshed by the bench_json target); json.tool fails on a malformed file.
 "$build/bench/bench_json" "$build/BENCH_plan_check.json" plan
 python3 -m json.tool "$build/BENCH_plan_check.json" > /dev/null
+echo "== threaded grids =="
+# The pardo, threads and sparse grids gate threaded checksums bit for bit
+# against their serial cells (and the sparse speedup): the guard on the
+# interpreter thread running window entries itself.
+"$build/bench/bench_json" "$build/BENCH_grids_check.json" pardo threads sparse
+python3 -m json.tool "$build/BENCH_grids_check.json" > /dev/null
 echo "verify: all suites passed"

@@ -46,6 +46,20 @@ double mp2_denominator(long i, long a, long j, long b, long nocc);
 // amplitude block yields the same value.
 double denominator_from_coords(std::span<const long> coords, long nocc);
 
+// Table-built rank-4 blocks. `out` is a row-major block whose first
+// element sits at absolute coordinates `first`, with `extents` elements
+// per dimension. Each element is bit-equal to synthetic_integral /
+// denominator_from_coords at its coordinates: the integral filler
+// combines per-block tables of the scalar function's own factors (a
+// (p,q) pair factor, an (r,s) pair factor, a denominator indexed by
+// p+q-r-s), and the denominator filler adds per-dimension orbital terms
+// in the scalar function's order. One multiply and one divide (one add)
+// per element instead of two exp and a divide.
+void fill_integral_block(std::span<double> out, std::span<const long> first,
+                         std::span<const int> extents);
+void fill_denominator_block(std::span<double> out, std::span<const long> first,
+                            std::span<const int> extents, long nocc);
+
 // Registers the chem super instructions (idempotent). The number of
 // occupied orbitals is read from the SIAL program's `nocc` constant via
 // the context, so callers pass it once per program, not per call:

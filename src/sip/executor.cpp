@@ -129,20 +129,44 @@ bool DataflowExecutor::run_inline() {
             "run_inline without a runnable inline entry");
   Node* node = inline_;
   inline_ = nullptr;
-  if (node->state == State::kDone) return node->error == nullptr;
+  if (node->state != State::kDone) run_locked(lock, node);
+  return node->error == nullptr;
+}
+
+bool DataflowExecutor::help(bool only_if_saturated) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (ready_.empty() ||
+      (only_if_saturated && pool_running_ < stats_.threads)) {
+    return false;
+  }
+  stats_.help_seconds += run_locked(lock, take_ready_locked());
+  ++stats_.tasks_helped;
+  return true;
+}
+
+DataflowExecutor::Node* DataflowExecutor::take_ready_locked() {
+  Node* node = ready_.front();
+  ready_.erase(ready_.begin());
+  return node;
+}
+
+double DataflowExecutor::run_locked(std::unique_lock<std::mutex>& lock,
+                                    Node* node) {
   node->state = State::kRunning;
   lock.unlock();
+  const double t0 = wall_seconds();
   std::exception_ptr error;
   try {
     node->entry.execute();
   } catch (...) {
     error = std::current_exception();
   }
+  const double elapsed = wall_seconds() - t0;
   lock.lock();
   node->error = error;
   node->state = State::kDone;
   on_complete_locked(node);
-  return error == nullptr;
+  return elapsed;
 }
 
 void DataflowExecutor::on_complete_locked(Node* node) {
@@ -162,24 +186,10 @@ void DataflowExecutor::worker_loop() {
   while (true) {
     pool_cv_.wait(lock, [&] { return shutdown_ || !ready_.empty(); });
     if (shutdown_) return;
-    Node* node = ready_.front();
-    ready_.erase(ready_.begin());
-    node->state = State::kRunning;
-    lock.unlock();
-    const double t0 = wall_seconds();
-    std::exception_ptr error;
-    try {
-      node->entry.execute();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const double elapsed = wall_seconds() - t0;
-    lock.lock();
-    stats_.thread_busy_seconds += elapsed;
+    ++pool_running_;
+    stats_.thread_busy_seconds += run_locked(lock, take_ready_locked());
     ++stats_.tasks_executed;
-    node->error = error;
-    node->state = State::kDone;
-    on_complete_locked(node);
+    --pool_running_;
   }
 }
 

@@ -20,6 +20,16 @@
 // operands clear (inline_runnable), runs it itself (run_inline), and
 // then decodes on while the pool keeps working on earlier entries.
 //
+// The interpreter thread also computes (help): it runs one ready pool
+// entry itself before decoding further whenever every pool thread is
+// busy, and before every sleep in its wait loops (window full, drain,
+// inline wait). A decoder that only fed the pool would either leave
+// ready entries queued behind a saturated pool or run the window full of
+// renamed temps; helping keeps the window short and the interpreter on
+// the critical path's work. A helped entry runs through the same
+// run/complete path as a pool task and retires in program order like any
+// other; its time is the executor's help_seconds, not the line's.
+//
 // Retirement is strictly in program order on the interpreter thread.
 // Communication side effects (put/prepare sends, deferred gets) happen at
 // retire, so the fabric sees the exact message sequence of the serial
@@ -129,6 +139,15 @@ class DataflowExecutor {
   // its operands resolved, or it already failed (resolution error).
   bool inline_runnable() const;
 
+  // Runs one ready, non-inline entry (the oldest) on the calling thread
+  // and completes it; it retires at a later pump, in program order, and
+  // an error it throws is rethrown there with its own pc. Never takes the
+  // inline entry or an entry still waiting on hazards or operands. With
+  // `only_if_saturated` it runs one only while every pool thread is busy:
+  // an idle pool thread would take the entry anyway. Returns whether an
+  // entry ran.
+  bool help(bool only_if_saturated = false);
+
   // Runs the waiting inline entry's execute on the calling thread and
   // completes it; it retires in program order like any other entry.
   // Returns false if the entry failed — its error is rethrown when it
@@ -184,6 +203,12 @@ class DataflowExecutor {
   };
 
   void worker_loop();
+  // Lock held. Runs the node's execute with the lock released, captures
+  // its error and completes it: the one run path of pool tasks, helped
+  // entries and the inline entry. Returns the seconds execute took.
+  double run_locked(std::unique_lock<std::mutex>& lock, Node* node);
+  // Lock held. Pops the oldest entry of the issue queue.
+  Node* take_ready_locked();
   // Lock held. Moves a node whose deps and operands cleared into the
   // ready queue (or straight to Done for retire-only entries).
   void make_ready_locked(Node* node);
@@ -199,6 +224,7 @@ class DataflowExecutor {
   Node* inline_ = nullptr;  // the inline entry waiting for run_inline
   std::unordered_map<BlockId, KeyState, BlockIdHash> keys_;
   std::uint64_t next_seq_ = 1;
+  int pool_running_ = 0;  // pool threads inside an execute
   int last_error_pc_ = -1;
   bool progress_event_ = false;
   bool shutdown_ = false;

@@ -752,15 +752,21 @@ void Interpreter::enqueue_entry(DataflowExecutor::Entry entry) {
     shared_.check_abort();
     service_messages();
     executor_->pump();
-    if (executor_->window_full()) executor_->wait_progress(2);
+    if (executor_->window_full() && !executor_->help()) {
+      executor_->wait_progress(2);
+    }
   }
   executor_->enqueue(std::move(entry));
   executor_->pump();
+  // Help before decoding further: with every pool thread busy, a ready
+  // entry would wait for one while the window fills with renamed temps.
+  executor_->help(/*only_if_saturated=*/true);
 }
 
 void Interpreter::drain_window() {
   if (!executor_ || executor_->idle()) return;
   const double start = wall_seconds();
+  const double helped0 = executor_->stats().help_seconds;
   while (true) {
     shared_.check_abort();
     executor_->pump();
@@ -768,9 +774,11 @@ void Interpreter::drain_window() {
     service_messages();
     executor_->pump();
     if (executor_->idle()) break;
-    executor_->wait_progress(2);
+    if (!executor_->help()) executor_->wait_progress(2);
   }
-  executor_->record_drain(wall_seconds() - start);
+  // Helped entries are the executor's help_seconds, not drain wait.
+  executor_->record_drain(wall_seconds() - start -
+                          (executor_->stats().help_seconds - helped0));
 }
 
 // ---------------------------------------------------------------------
@@ -1167,13 +1175,15 @@ void Interpreter::exec_execute(const Instruction& instr) {
   entry.execute = [this, fn, call] { run_execute(*fn, *call); };
   enqueue_entry(std::move(entry));
 
-  // Service the fabric while waiting; the pool keeps working on earlier
-  // entries.
+  // Service the fabric and help run ready entries while waiting; the
+  // pool keeps working on earlier entries.
   while (!executor_->inline_runnable()) {
     shared_.check_abort();
     service_messages();
     executor_->pump();
-    if (!executor_->inline_runnable()) executor_->wait_progress(2);
+    if (!executor_->inline_runnable() && !executor_->help()) {
+      executor_->wait_progress(2);
+    }
   }
   // Scalar arguments and printing take effect here, in program order.
   // A failure is rethrown when the entry retires: drain to surface it
@@ -1634,12 +1644,13 @@ void Interpreter::execute_program() {
         program_.code().code[static_cast<std::size_t>(pc)];
     if (instr.op == Opcode::kHalt) break;
     const double t0 = wall_seconds();
-    const double drained0 = drain_wait_seconds();
+    const double off_line0 = off_line_seconds();
     step();
-    // Drain wait is reported on its own (ProfileReport::Executor); charge
-    // the line only with the rest of its step.
+    // Drain wait and helped entries are reported on their own
+    // (ProfileReport::Executor); charge the line only with the rest of
+    // its step.
     profiler_.record_instruction(
-        pc, wall_seconds() - t0 - (drain_wait_seconds() - drained0));
+        pc, wall_seconds() - t0 - (off_line_seconds() - off_line0));
   }
   drain_window();
   profiler_.record_total(wall_seconds() - start);

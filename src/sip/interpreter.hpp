@@ -213,9 +213,13 @@ class Interpreter {
   // flight (barriers, collectives, pardo-iteration boundaries,
   // allocate/create/delete, block-dot).
   void drain_window();
-  // Total time drain_window has blocked so far (0 with no window).
-  double drain_wait_seconds() const {
-    return executor_ ? executor_->stats().drain_wait_seconds : 0.0;
+  // Time the executor's own buckets have taken so far: drain_window
+  // blocked, plus helped entries run (0 with no window). Lines are
+  // charged only with the rest of their step.
+  double off_line_seconds() const {
+    return executor_ ? executor_->stats().drain_wait_seconds +
+                           executor_->stats().help_seconds
+                     : 0.0;
   }
 
   // Requests the next chunk for the frame; false when the pardo is done.

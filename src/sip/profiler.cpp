@@ -94,7 +94,8 @@ std::string ProfileReport::to_string() const {
         << TablePrinter::num(executor.drain_wait_seconds * 1e3, 2)
         << " ms waited), pool busy "
         << TablePrinter::num(executor.thread_busy_seconds * 1e3, 2)
-        << " ms\n";
+        << " ms, " << executor.tasks_helped << " helped ("
+        << TablePrinter::num(executor.help_seconds * 1e3, 2) << " ms)\n";
   }
   if (screening.any()) {
     out << "screening: threshold " << screening.threshold << ", "

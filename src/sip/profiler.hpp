@@ -200,6 +200,7 @@ struct ProfileReport {
   struct Executor {
     int threads = 0;                  // pool size (max over workers)
     std::int64_t tasks_executed = 0;  // entries run on pool threads
+    std::int64_t tasks_helped = 0;    // pool entries the interpreter ran
     std::int64_t entries_retired = 0;
     std::int64_t hazard_stalls = 0;   // enqueued behind a RAW/WAR/WAW dep
     // Dependency edges observed at enqueue, split by hazard kind (may
@@ -214,6 +215,7 @@ struct ProfileReport {
     std::int64_t occupancy_samples = 0;
     double drain_wait_seconds = 0.0;  // interpreter blocked draining
     double thread_busy_seconds = 0.0; // summed over all pool threads
+    double help_seconds = 0.0;        // interpreter running helped entries
 
     double avg_occupancy() const {
       return occupancy_samples > 0

@@ -332,6 +332,7 @@ void aggregate(const std::vector<RankReport>& reports,
     const ProfileReport::Executor& e = w->executor;
     executor.threads = std::max(executor.threads, e.threads);
     executor.tasks_executed += e.tasks_executed;
+    executor.tasks_helped += e.tasks_helped;
     executor.entries_retired += e.entries_retired;
     executor.hazard_stalls += e.hazard_stalls;
     executor.raw_deps += e.raw_deps;
@@ -344,6 +345,7 @@ void aggregate(const std::vector<RankReport>& reports,
     executor.occupancy_samples += e.occupancy_samples;
     executor.drain_wait_seconds += e.drain_wait_seconds;
     executor.thread_busy_seconds += e.thread_busy_seconds;
+    executor.help_seconds += e.help_seconds;
 
     totals.gets_issued += w->dist.gets_issued;
     totals.gets_local += w->dist.gets_local;

@@ -284,31 +284,6 @@ std::vector<std::string> SuperInstructionRegistry::names() const {
 
 namespace {
 
-// Iterates a block's elements together with their absolute coordinates.
-template <typename Fn>
-void for_each_element(SuperInstructionContext& ctx, int arg, Fn&& fn) {
-  Block& block = ctx.block_arg(arg);
-  const sial::BlockSelector& sel = ctx.selector(arg);
-  const int rank = sel.rank;
-  std::array<int, blas::kMaxRank> counter{};
-  auto data = block.data();
-  std::array<long, blas::kMaxRank> coords{};
-  for (std::size_t n = 0; n < data.size(); ++n) {
-    for (int d = 0; d < rank; ++d) {
-      coords[static_cast<std::size_t>(d)] =
-          sel.first_element[static_cast<std::size_t>(d)] +
-          counter[static_cast<std::size_t>(d)];
-    }
-    fn(data[n], std::span<const long>(coords.data(),
-                                      static_cast<std::size_t>(rank)));
-    for (int d = rank - 1; d >= 0; --d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (++counter[ud] < sel.extents[ud]) break;
-      counter[ud] = 0;
-    }
-  }
-}
-
 void builtin_fill_value(SuperInstructionContext& ctx) {
   blas::fill(ctx.block_arg(0).data(), ctx.number_arg(1));
 }

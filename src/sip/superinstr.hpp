@@ -16,6 +16,7 @@
 // planner knows what to contract.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -133,6 +134,32 @@ class SuperInstructionContext {
   int worker_index_;
   int num_workers_;
 };
+
+// Visits each element of block argument `arg` together with its absolute
+// 1-based coordinates, in storage order.
+template <typename Fn>
+void for_each_element(SuperInstructionContext& ctx, int arg, Fn&& fn) {
+  Block& block = ctx.block_arg(arg);
+  const sial::BlockSelector& sel = ctx.selector(arg);
+  const int rank = sel.rank;
+  std::array<int, blas::kMaxRank> counter{};
+  std::array<long, blas::kMaxRank> coords{};
+  auto data = block.data();
+  for (std::size_t n = 0; n < data.size(); ++n) {
+    for (int d = 0; d < rank; ++d) {
+      coords[static_cast<std::size_t>(d)] =
+          sel.first_element[static_cast<std::size_t>(d)] +
+          counter[static_cast<std::size_t>(d)];
+    }
+    fn(data[n], std::span<const long>(coords.data(),
+                                      static_cast<std::size_t>(rank)));
+    for (int d = rank - 1; d >= 0; --d) {
+      const std::size_t ud = static_cast<std::size_t>(d);
+      if (++counter[ud] < sel.extents[ud]) break;
+      counter[ud] = 0;
+    }
+  }
+}
 
 using SuperInstructionFn = std::function<void(SuperInstructionContext&)>;
 

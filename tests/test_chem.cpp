@@ -2,12 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chem/integrals.hpp"
 #include "chem/reference.hpp"
 #include "chem/system.hpp"
+#include "common/config.hpp"
+#include "sip/launch.hpp"
+#include "sip/superinstr.hpp"
 
 namespace sia::chem {
 namespace {
@@ -79,6 +85,130 @@ TEST(DenominatorTest, AlwaysNegativeForExcitations) {
     for (long a = nocc + 1; a <= 20; ++a) {
       EXPECT_LT(mp2_denominator(i, a, i, a, nocc), 0.0);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Table-built blocks: every element must equal the scalar function bit
+// for bit, wherever the block sits and however it is cut.
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(BlockFillerTest, EveryElementMatchesTheScalarFunctions) {
+  constexpr long kNocc = 5;
+  // Odd offsets, extents of 1 (a short last segment), and blocks that
+  // straddle the occupied/virtual boundary.
+  const std::vector<std::pair<std::array<long, 4>, std::array<int, 4>>>
+      blocks = {{{1, 1, 1, 1}, {4, 4, 4, 4}},
+                {{3, 8, 5, 1}, {3, 1, 4, 2}},
+                {{7, 2, 9, 4}, {5, 3, 2, 6}},
+                {{11, 11, 2, 13}, {1, 2, 1, 1}}};
+  for (const auto& [first, extents] : blocks) {
+    const std::size_t size = static_cast<std::size_t>(
+        extents[0] * extents[1] * extents[2] * extents[3]);
+    std::vector<double> integrals(size);
+    std::vector<double> denominators(size);
+    fill_integral_block(integrals, first, extents);
+    fill_denominator_block(denominators, first, extents, kNocc);
+    std::size_t n = 0;
+    for (int a = 0; a < extents[0]; ++a) {
+      for (int b = 0; b < extents[1]; ++b) {
+        for (int c = 0; c < extents[2]; ++c) {
+          for (int d = 0; d < extents[3]; ++d, ++n) {
+            const std::array<long, 4> at = {first[0] + a, first[1] + b,
+                                            first[2] + c, first[3] + d};
+            EXPECT_TRUE(same_bits(
+                integrals[n], synthetic_integral(at[0], at[1], at[2], at[3])))
+                << "integral at " << at[0] << "," << at[1] << "," << at[2]
+                << "," << at[3];
+            EXPECT_TRUE(same_bits(denominators[n],
+                                  denominator_from_coords(at, kNocc)))
+                << "denominator at " << at[0] << "," << at[1] << ","
+                << at[2] << "," << at[3];
+          }
+        }
+      }
+    }
+  }
+}
+
+// check_integrals V <bad> <checked>: counts V's elements, and those not
+// bit-equal to synthetic_integral at their absolute coordinates.
+void check_integrals(sip::SuperInstructionContext& ctx) {
+  sip::for_each_element(ctx, 0, [&](double& value, std::span<const long> c) {
+    ctx.scalar_arg(2) += 1.0;
+    if (!same_bits(value, synthetic_integral(c[0], c[1], c[2], c[3]))) {
+      ctx.scalar_arg(1) += 1.0;
+    }
+  });
+}
+
+// check_inverse_denominators T <nocc> <bad> <checked>: T = 1 / D.
+void check_inverse_denominators(sip::SuperInstructionContext& ctx) {
+  const long nocc = static_cast<long>(ctx.number_arg(1));
+  sip::for_each_element(ctx, 0, [&](double& value, std::span<const long> c) {
+    ctx.scalar_arg(3) += 1.0;
+    if (!same_bits(value, 1.0 / denominator_from_coords(c, nocc))) {
+      ctx.scalar_arg(2) += 1.0;
+    }
+  });
+}
+
+TEST(BlockFillerTest, SuperInstructionsMatchThroughSegmentsAndSlices) {
+  // norb 11 in segments of 4: the last segment is three orbitals wide,
+  // and `v(pp,q,r,s)` reaches the integral filler through a rank-4 slice
+  // selector whose first element sits at an odd offset inside its block.
+  register_chem_superinstructions();
+  auto& registry = sip::SuperInstructionRegistry::global();
+  registry.register_instruction("check_integrals", check_integrals,
+                                {sip::ArgAccess::kRead});
+  registry.register_instruction("check_inverse_denominators",
+                                check_inverse_denominators,
+                                {sip::ArgAccess::kRead});
+  for (const int threads : {0, 2}) {
+    SipConfig config;
+    config.workers = 1;
+    config.worker_threads = threads;
+    config.default_segment = 4;
+    config.constants = {{"norb", 11}, {"nocc", 5}};
+    sip::Sip sip(config);
+    const sip::RunResult result = sip.run_source(R"(sial block_fillers
+moindex p = 1, norb
+moindex q = 1, norb
+moindex r = 1, norb
+moindex s = 1, norb
+subindex pp of p
+temp v(p,q,r,s)
+temp one(p,q,r,s)
+temp t(p,q,r,s)
+scalar noccs
+scalar bad
+scalar checked
+noccs = nocc
+do p
+  do q
+    do r
+      do s
+        execute compute_integrals v(p,q,r,s)
+        execute check_integrals v(p,q,r,s) bad checked
+        do pp in p
+          execute compute_integrals v(pp,q,r,s)
+          execute check_integrals v(pp,q,r,s) bad checked
+        enddo pp
+        execute fill_value one(p,q,r,s) 1.0
+        execute cc_update t(p,q,r,s) one(p,q,r,s) noccs
+        execute check_inverse_denominators t(p,q,r,s) noccs bad checked
+      enddo s
+    enddo r
+  enddo q
+enddo p
+endsial
+)");
+    EXPECT_EQ(result.scalar("checked"), 3.0 * 11 * 11 * 11 * 11)
+        << "worker_threads " << threads;
+    EXPECT_EQ(result.scalar("bad"), 0.0) << "worker_threads " << threads;
   }
 }
 

@@ -477,6 +477,217 @@ TEST(DataflowExecutorTest, InlineEntryErrorSurfacesAtRetire) {
 }
 
 // ---------------------------------------------------------------------
+// Helping: the interpreter thread runs ready pool entries itself.
+
+// Holds a pool thread inside execute until released, so a test can
+// saturate the pool deterministically. Releases on destruction too, and
+// waits the entry out, so a failed assertion cannot hang the executor.
+struct PoolGate {
+  std::atomic<bool> started{false};
+  std::atomic<bool> released{false};
+  std::atomic<bool> finished{false};
+
+  ~PoolGate() {
+    released = true;
+    while (started && !finished) nap(1);
+  }
+  DataflowExecutor::Entry entry(int seg) {
+    DataflowExecutor::Entry e;
+    e.writes = {bid(1, seg)};
+    e.execute = [this] {
+      started = true;
+      while (!released) nap(1);
+      finished = true;
+    };
+    return e;
+  }
+  void wait_started() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!started && std::chrono::steady_clock::now() < deadline) nap(1);
+    ASSERT_TRUE(started.load()) << "pool thread never took the gate entry";
+  }
+};
+
+TEST(DataflowExecutorTest, HelpedEntryRetiresInProgramOrder) {
+  DataflowExecutor executor(1, 64);
+  PoolGate gate;
+  std::vector<int> retire_order;  // retire runs on this thread: no lock
+  DataflowExecutor::Entry head = gate.entry(1);
+  head.retire = [&] { retire_order.push_back(0); };
+  executor.enqueue(std::move(head));
+  gate.wait_started();
+
+  std::thread::id ran_on;
+  DataflowExecutor::Entry helped;
+  helped.writes = {bid(0, 2)};
+  helped.execute = [&] { ran_on = std::this_thread::get_id(); };
+  helped.retire = [&] { retire_order.push_back(1); };
+  executor.enqueue(std::move(helped));
+  DataflowExecutor::Entry tail;
+  tail.writes = {bid(0, 3)};
+  tail.execute = [] {};
+  tail.retire = [&] { retire_order.push_back(2); };
+  executor.enqueue(std::move(tail));
+
+  // The pool's one thread is busy: both entries run here, in issue order,
+  // but neither may retire ahead of the gated head.
+  EXPECT_TRUE(executor.help(/*only_if_saturated=*/true));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(executor.help());
+  EXPECT_FALSE(executor.help());  // nothing left ready
+  executor.pump();
+  EXPECT_TRUE(retire_order.empty());
+  EXPECT_EQ(executor.window_size(), 3u);
+
+  gate.released = true;
+  drive(executor);
+  EXPECT_EQ(retire_order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(executor.stats().tasks_helped, 2);
+  EXPECT_EQ(executor.stats().tasks_executed, 1);  // pool-only count
+  EXPECT_GE(executor.stats().help_seconds, 0.0);
+}
+
+TEST(DataflowExecutorTest, HelpedEntryErrorRethrownAtItsRetire) {
+  DataflowExecutor executor(1, 64);
+  PoolGate gate;
+  bool head_retired = false;
+  DataflowExecutor::Entry head = gate.entry(1);
+  head.pc = 3;
+  head.retire = [&] { head_retired = true; };
+  executor.enqueue(std::move(head));
+  gate.wait_started();
+
+  DataflowExecutor::Entry bad;
+  bad.writes = {bid(0, 2)};
+  bad.pc = 9;
+  bad.execute = [] { throw RuntimeError("injected helped failure"); };
+  executor.enqueue(std::move(bad));
+
+  // The helper captures the error like a pool thread would: help itself
+  // does not throw, and the error waits for the entry's turn to retire.
+  EXPECT_TRUE(executor.help());
+  EXPECT_NO_THROW(executor.pump());
+  EXPECT_FALSE(head_retired);
+
+  gate.released = true;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  bool threw = false;
+  while (!threw && std::chrono::steady_clock::now() < deadline) {
+    try {
+      executor.pump();
+      executor.wait_progress(5);
+    } catch (const RuntimeError& error) {
+      threw = true;
+      EXPECT_NE(std::string(error.what()).find("injected helped failure"),
+                std::string::npos);
+    }
+  }
+  EXPECT_TRUE(threw);
+  EXPECT_TRUE(head_retired);
+  EXPECT_EQ(executor.last_error_pc(), 9);
+  executor.cancel();
+}
+
+TEST(DataflowExecutorTest, HelpTakesNoInlineOrWaitingEntry) {
+  DataflowExecutor executor(1, 64);
+  PoolGate gate;
+  executor.enqueue(gate.entry(1));
+  gate.wait_started();
+
+  bool hazard_ran = false;
+  DataflowExecutor::Entry hazard;  // RAW behind the gated writer
+  hazard.reads = {bid(1, 1)};
+  hazard.execute = [&] { hazard_ran = true; };
+  executor.enqueue(std::move(hazard));
+
+  bool arrived = false;  // touched only on this (interpreter) thread
+  bool operand_ran = false;
+  DataflowExecutor::Entry parked;  // operand still in flight
+  parked.reads = {bid(0, 7)};
+  DataflowExecutor::PendingOperand pending;
+  pending.id = bid(0, 7);
+  const std::array<int, 1> extents{1};
+  const BlockShape shape{std::span<const int>(extents)};
+  pending.resolve = [&]() -> BlockPtr {
+    return arrived ? std::make_shared<Block>(shape) : nullptr;
+  };
+  pending.deposit = [](BlockPtr) {};
+  parked.pending_operands.push_back(std::move(pending));
+  parked.execute = [&] { operand_ran = true; };
+  executor.enqueue(std::move(parked));
+
+  bool inline_ran = false;
+  DataflowExecutor::Entry inline_entry;  // runnable, but only by run_inline
+  inline_entry.writes = {bid(0, 8)};
+  inline_entry.run_inline = true;
+  inline_entry.execute = [&] { inline_ran = true; };
+  executor.enqueue(std::move(inline_entry));
+  executor.pump();
+  EXPECT_TRUE(executor.inline_runnable());
+
+  EXPECT_FALSE(executor.help());
+  EXPECT_FALSE(executor.help(/*only_if_saturated=*/true));
+  EXPECT_FALSE(hazard_ran);
+  EXPECT_FALSE(operand_ran);
+  EXPECT_FALSE(inline_ran);
+  EXPECT_EQ(executor.stats().tasks_helped, 0);
+
+  EXPECT_TRUE(executor.run_inline());
+  arrived = true;
+  gate.released = true;
+  drive(executor);
+  EXPECT_TRUE(hazard_ran);
+  EXPECT_TRUE(operand_ran);
+  EXPECT_TRUE(inline_ran);
+}
+
+TEST(DataflowExecutorTest, SaturatedOnlyHelpLeavesWorkToAnIdlePoolThread) {
+  DataflowExecutor executor(2, 64);
+  PoolGate first;
+  executor.enqueue(first.entry(1));
+  first.wait_started();
+
+  // One of two pool threads is idle: the entry is the pool's, whether or
+  // not that thread has woken up to take it yet.
+  std::atomic<bool> ran{false};
+  bool pool_ran = false;  // published to this thread by `ran`
+  const std::thread::id me = std::this_thread::get_id();
+  DataflowExecutor::Entry entry;
+  entry.writes = {bid(0, 2)};
+  entry.execute = [&] {
+    pool_ran = std::this_thread::get_id() != me;
+    ran = true;
+  };
+  executor.enqueue(std::move(entry));
+  EXPECT_FALSE(executor.help(/*only_if_saturated=*/true));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!ran && std::chrono::steady_clock::now() < deadline) nap(1);
+  ASSERT_TRUE(ran.load());
+  EXPECT_TRUE(pool_ran);
+
+  // Both pool threads busy: now the same call runs a ready entry here.
+  PoolGate second;
+  executor.enqueue(second.entry(3));
+  second.wait_started();
+  bool helped_here = false;
+  DataflowExecutor::Entry saturated;
+  saturated.writes = {bid(0, 4)};
+  saturated.execute = [&] { helped_here = std::this_thread::get_id() == me; };
+  executor.enqueue(std::move(saturated));
+  EXPECT_TRUE(executor.help(/*only_if_saturated=*/true));
+  EXPECT_TRUE(helped_here);
+
+  first.released = true;
+  second.released = true;
+  drive(executor);
+  EXPECT_EQ(executor.stats().tasks_helped, 1);
+  EXPECT_EQ(executor.stats().tasks_executed, 3);
+}
+
+// ---------------------------------------------------------------------
 // End-to-end bit-identity: the acceptance criterion for the whole
 // feature. Results must be *exactly* equal (EXPECT_EQ on doubles, not
 // EXPECT_NEAR): program-order retirement plus hazard-serialized
@@ -681,17 +892,20 @@ TEST(ExecutorIntegrationTest, ProfileReportsExecutorCounters) {
 }
 
 TEST(ExecutorIntegrationTest, DrainWaitIsNotChargedToLines) {
-  // Each block dot drains the window behind a 256^3 contraction. That
-  // wait is reported as the executor's drain_wait_seconds; the dot's line
-  // must not carry it too. With one worker the program's wall time is
-  // the lines plus the drains (plus per-step loop overhead, far below
-  // 1% here); charging drains to lines as well would overshoot it by
-  // the whole drain wait.
+  // Each block dot drains the window behind a 512^3 contraction that the
+  // pool thread took while the interpreter filled `d` (a fill costs far
+  // less than the contraction but gives the pool thread time to wake). That wait is
+  // reported as the executor's drain_wait_seconds, and entries the
+  // interpreter ran itself (here, typically the copy into `e`, ready
+  // while the pool thread is busy) as its help_seconds; the dot's line
+  // must carry neither. With one worker the program's wall time is the
+  // lines plus the drains plus the help (plus per-step loop overhead, far
+  // below 1% here); charging either to lines as well would overshoot it.
   SipConfig config;
   config.workers = 1;
   config.worker_threads = 1;
-  config.default_segment = 256;
-  config.constants = {{"n", 512}};
+  config.default_segment = 512;
+  config.constants = {{"n", 1024}};
   Sip sip(config);
   const RunResult result = sip.run_source(R"(sial drain_attribution
 moindex i = 1, n
@@ -700,12 +914,16 @@ moindex k = 1, n
 temp a(i,k)
 temp b(k,j)
 temp c(i,j)
+temp d(i,k)
+temp e(i,k)
 scalar x
 pardo i, j
   do k
     execute random_block a(i,k) 1.0
     execute random_block b(k,j) 2.0
     c(i,j) = a(i,k) * b(k,j)
+    execute random_block d(i,k) 3.0
+    e(i,k) = d(i,k)
     x += c(i,j) * c(i,j)
   enddo k
 endpardo i, j
@@ -715,11 +933,63 @@ endsial
   for (const ProfileReport::LineCost& cost : result.profile.lines) {
     lines += cost.seconds;
   }
-  const double drains = result.profile.executor.drain_wait_seconds;
+  const ProfileReport::Executor& executor = result.profile.executor;
+  const double drains = executor.drain_wait_seconds;
+  const double help = executor.help_seconds;
   const double elapsed = result.profile.total_elapsed;
   EXPECT_GT(drains, 0.02 * elapsed);  // the check below can tell
-  EXPECT_NEAR(lines + drains, elapsed, 0.01 * elapsed)
-      << "lines " << lines << " s, drains " << drains << " s";
+  EXPECT_NEAR(lines + drains + help, elapsed, 0.01 * elapsed)
+      << "lines " << lines << " s, drains " << drains << " s, help " << help
+      << " s (" << executor.tasks_helped << " entries)";
+}
+
+TEST(ExecutorIntegrationTest, CcdShapedProgramBitIdenticalWhileHelping) {
+  // One worker, the ccd pattern: integral blocks filled inline, a
+  // contraction into a renamed temp, an accumulate. With one or two pool
+  // threads the interpreter runs ready contractions and accumulates
+  // itself whenever the pool is saturated; the checksum must still equal
+  // the serial engine's bit for bit.
+  SipConfig config = single_worker_config();
+  config.constants = {{"n", 8}};
+  config.default_segment = 2;
+  const std::string source = R"(sial help_shape
+moindex a = 1, n
+moindex i = 1, n
+moindex b = 1, n
+moindex j = 1, n
+moindex c = 1, n
+moindex d = 1, n
+temp v(a,c,b,d)
+temp t(c,i,d,j)
+temp tmp(a,i,b,j)
+temp r(a,i,b,j)
+scalar rlocal
+scalar rnorm2
+pardo a, i, b, j
+  execute compute_integrals r(a,i,b,j)
+  do c
+    do d
+      execute compute_integrals v(a,c,b,d)
+      execute compute_integrals t(c,i,d,j)
+      tmp(a,i,b,j) = v(a,c,b,d) * t(c,i,d,j)
+      r(a,i,b,j) += tmp(a,i,b,j)
+    enddo d
+  enddo c
+  rlocal += r(a,i,b,j) * r(a,i,b,j)
+endpardo a, i, b, j
+rnorm2 = 0.0
+collective rnorm2 += rlocal
+endsial
+)";
+  config.worker_threads = 0;
+  const auto base = run_scalars(config, source);
+  ASSERT_GT(base.at("rnorm2"), 0.0);
+  for (const int threads : {1, 2}) {
+    config.worker_threads = threads;
+    expect_bit_identical(base, run_scalars(config, source), {"rnorm2"},
+                         "help_shape worker_threads=" +
+                             std::to_string(threads));
+  }
 }
 
 TEST(ExecutorIntegrationTest, RuntimeErrorKeepsLineAttributionThreaded) {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "sial/compiler.hpp"
@@ -128,7 +129,16 @@ TEST(RankReportTest, RoundTripKeepsEveryCounter) {
     ASSERT_NE(report, RankReport{});
     const msg::Message message = encode(report);
     EXPECT_EQ(message.src, report.rank);
-    EXPECT_EQ(decode(message, program()), report) << "rank " << report.rank;
+    const RankReport decoded = decode(message, program());
+    EXPECT_EQ(decoded, report) << "rank " << report.rank;
+    if (report.worker) {
+      // Named, so a help counter outside the walked struct fails here.
+      EXPECT_NE(report.worker->executor.tasks_helped, 0);
+      EXPECT_EQ(decoded.worker->executor.tasks_helped,
+                report.worker->executor.tasks_helped);
+      EXPECT_EQ(decoded.worker->executor.help_seconds,
+                report.worker->executor.help_seconds);
+    }
   }
   // A section is present or absent on both sides of the wire.
   RankReport bare;
@@ -242,6 +252,31 @@ TEST(RankReportTest, AggregateTakesLinesFromTheProgram) {
   EXPECT_EQ(result.profile.lines[0].count, 3);
   EXPECT_EQ(result.profile.served.server_requests, 9);
   EXPECT_EQ(result.scalar("total"), 1.5);
+}
+
+TEST(RankReportTest, AggregateSumsPoolAndHelpedWork) {
+  std::vector<RankReport> reports;
+  for (int rank = 1; rank <= 2; ++rank) {
+    RankReport& report = reports.emplace_back();
+    report.rank = rank;
+    RankReport::Worker& w = report.worker.emplace();
+    w.scalars.assign(program().code().scalars.size(), 0.0);
+    w.executor.threads = 1;
+    w.executor.tasks_executed = 4 * rank;
+    w.executor.tasks_helped = rank;
+    w.executor.help_seconds = 0.25 * rank;
+    w.executor.thread_busy_seconds = 0.5 * rank;
+  }
+  RunResult result;
+  aggregate(reports, Master::Stats{}, program(), result);
+  const ProfileReport::Executor& e = result.profile.executor;
+  EXPECT_EQ(e.tasks_executed, 12);
+  EXPECT_EQ(e.tasks_helped, 3);
+  EXPECT_EQ(e.help_seconds, 0.75);
+  EXPECT_EQ(e.thread_busy_seconds, 1.5);
+  EXPECT_NE(result.profile.to_string().find("3 helped (750.00 ms)"),
+            std::string::npos)
+      << result.profile.to_string();
 }
 
 }  // namespace
