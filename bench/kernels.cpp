@@ -1,11 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the computational super
 // instructions and the memory machinery: block contraction throughput by
 // segment size (the paper's key tuning knob), tensor permutation,
-// on-demand integral generation, and pool-vs-heap block allocation.
+// on-demand integral generation, and pool-vs-heap block allocation. The
+// output's context records the GEMM micro-kernel under `gemm_kernel`.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-
+#include <string>
 #include <vector>
 
 #include "blas/gemm.hpp"
@@ -56,6 +57,29 @@ BENCHMARK(BM_BlockContraction)
     ->Arg(20)
     ->Arg(24)
     ->Arg(32);
+
+// ccd's particle-particle ladder, tmp(a,i,b,j) = vp(a,c,b,d) * T(c,i,d,j):
+// both operands are read through gather tables and the result is
+// permuted into dst, the paths the identity layout above skips.
+void BM_BlockContractionCcdLadder(benchmark::State& state) {
+  const int seg = static_cast<int>(state.range(0));
+  const std::vector<int> extents = {seg, seg, seg, seg};
+  Block vp = random_block(extents, 1);
+  Block t = random_block(extents, 2);
+  Block tmp{BlockShape(extents)};
+  const std::vector<int> tmp_ids = {0, 1, 2, 3};  // a i b j
+  const std::vector<int> vp_ids = {0, 4, 2, 5};   // a c b d
+  const std::vector<int> t_ids = {4, 1, 5, 3};    // c i d j
+  for (auto _ : state) {
+    sip::block_contract(tmp, tmp_ids, vp, vp_ids, t, t_ids, false);
+    benchmark::DoNotOptimize(tmp.data().data());
+  }
+  const double flops = 2.0 * std::pow(static_cast<double>(seg), 6.0);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_BlockContractionCcdLadder)->Arg(8)->Arg(16);
 
 // The DGEMM kernel directly.
 void BM_Dgemm(benchmark::State& state) {
@@ -137,4 +161,12 @@ BENCHMARK(BM_HeapAllocate);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("gemm_kernel",
+                              std::string(blas::gemm_kernel_name()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <vector>
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -17,13 +16,14 @@ namespace sia::blas {
 namespace {
 
 // Cache-block sizes: MC x KC panel of A stays in L2, KC x NC panel of B in
-// L3/L2. Sized for typical 32K/512K caches. The register micro-tile shape
-// (mr x nr) comes from the dispatched micro-kernel.
+// L3/L2. The register micro-tile shape (mr x nr) comes from the dispatched
+// micro-kernel; every kernel shares kKc, which is what keeps them
+// bit-identical (see the kernel comment below).
 constexpr std::size_t kMc = 72;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 1024;
 constexpr std::size_t kMaxMr = 8;
-constexpr std::size_t kMaxNr = 8;
+constexpr std::size_t kMaxNr = 24;
 
 // Below this flop count packing overhead dominates; use the direct loop.
 constexpr std::size_t kSmallProblem = 32 * 32 * 32;
@@ -33,6 +33,12 @@ constexpr std::size_t kSmallProblem = 32 * 32 * 32;
 // from packed panels: A packed column-by-column (mr entries per k step),
 // B packed row-by-row (nr entries per k step). Partial edge tiles are
 // routed through a scratch tile by the driver.
+//
+// The SIMD kernels are bit-identical to each other: each C element is
+// acc = fma(a_ip, b_pj, acc) over p from zero within one kc panel, then
+// C += acc. That order does not depend on the tile shape, so kernels of
+// different widths at the same kKc produce the same bits. The portable
+// kernel multiplies and adds separately and agrees only to rounding.
 using MicroKernelFn = void (*)(std::size_t kc, const double* a_pack,
                                const double* b_pack, double* c,
                                std::size_t ldc);
@@ -41,7 +47,8 @@ struct KernelInfo {
   std::size_t mr;
   std::size_t nr;
   MicroKernelFn fn;
-  const char* name;
+  const char* name;  // "<select_gemm_kernel() spelling>-<mr>x<nr>"
+  bool (*supported)();
 };
 
 // ---------------------------------------------------------------------
@@ -71,16 +78,15 @@ void micro_kernel_portable(std::size_t kc, const double* a_pack,
   }
 }
 
-constexpr KernelInfo kPortableKernel{4, 8, micro_kernel_portable,
-                                     "portable-4x8"};
+bool always_supported() { return true; }
 
+#if SIA_X86_KERNELS
 // ---------------------------------------------------------------------
 // AVX2+FMA 6x8 micro-kernel: 12 accumulator ymm registers + 2 B vectors +
 // 1 A broadcast = 15 of 16, the classic BLIS-style tiling. Compiled with a
 // target attribute so the translation unit itself needs no special flags;
 // selected at runtime only when the CPU reports AVX2 and FMA.
 
-#if SIA_X86_KERNELS
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2_6x8(
     std::size_t kc, const double* a_pack, const double* b_pack, double* c,
     std::size_t ldc) {
@@ -124,16 +130,66 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2_6x8(
   }
 }
 
-constexpr KernelInfo kAvx2Kernel{6, 8, micro_kernel_avx2_6x8, "avx2-6x8"};
+// ---------------------------------------------------------------------
+// AVX-512F 8x24 micro-kernel: 24 accumulator zmm registers + 3 B vectors
+// + 1 A broadcast = 28 of 32. Eight rows keep an A slab inside one
+// 16-wide run of a segment-16 block's unit-stride axis, so pack_a copies
+// it with contiguous loads. The unrolled loops leave every accumulator a
+// named register (no spills at -O2).
+
+__attribute__((target("avx512f"))) void micro_kernel_avx512_8x24(
+    std::size_t kc, const double* a_pack, const double* b_pack, double* c,
+    std::size_t ldc) {
+  __m512d acc[8][3];
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) {
+    acc[i][0] = acc[i][1] = acc[i][2] = _mm512_setzero_pd();
+  }
+  for (std::size_t p = 0; p < kc; ++p) {
+    const double* b_row = b_pack + p * 24;
+    const __m512d b0 = _mm512_loadu_pd(b_row);
+    const __m512d b1 = _mm512_loadu_pd(b_row + 8);
+    const __m512d b2 = _mm512_loadu_pd(b_row + 16);
+    const double* a_col = a_pack + p * 8;
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      const __m512d ai = _mm512_set1_pd(a_col[i]);
+      acc[i][0] = _mm512_fmadd_pd(ai, b0, acc[i][0]);
+      acc[i][1] = _mm512_fmadd_pd(ai, b1, acc[i][1]);
+      acc[i][2] = _mm512_fmadd_pd(ai, b2, acc[i][2]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) {
+    double* row = c + static_cast<std::size_t>(i) * ldc;
+#pragma GCC unroll 3
+    for (int j = 0; j < 3; ++j) {
+      _mm512_storeu_pd(row + 8 * j,
+                       _mm512_add_pd(_mm512_loadu_pd(row + 8 * j), acc[i][j]));
+    }
+  }
+}
+
+bool avx2_supported() {
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+}
+bool avx512_supported() { return __builtin_cpu_supports("avx512f"); }
 #endif  // SIA_X86_KERNELS
 
-const KernelInfo* detect_kernel() {
+// In preference order: detection takes the first the CPU supports.
+constexpr KernelInfo kKernels[] = {
 #if SIA_X86_KERNELS
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return &kAvx2Kernel;
-  }
+    {8, 24, micro_kernel_avx512_8x24, "avx512-8x24", avx512_supported},
+    {6, 8, micro_kernel_avx2_6x8, "avx2-6x8", avx2_supported},
 #endif
-  return &kPortableKernel;
+    {4, 8, micro_kernel_portable, "portable-4x8", always_supported},
+};
+
+const KernelInfo* detect_kernel() {
+  for (const KernelInfo& kernel : kKernels) {
+    if (kernel.supported()) return &kernel;
+  }
+  return nullptr;  // unreachable: the portable kernel is always supported
 }
 
 std::atomic<const KernelInfo*> g_kernel{nullptr};
@@ -148,75 +204,128 @@ const KernelInfo& active_kernel() {
 }
 
 // ---------------------------------------------------------------------
-// Operand accessors: how packing reads A and B. Strided is the classic
+// Operand accessors: how packing reads A and B. Element (row, col) lives
+// at base[row_offset(row) + col_offset(col)]. Strided is the classic
 // row-major view; Gather reads through the plan's offset tables, folding
 // an arbitrary tensor permutation into the packing pass.
 
 struct StridedView {
   const double* base;
   std::size_t ld;
-  double at(std::size_t row, std::size_t col) const {
-    return base[row * ld + col];
-  }
   std::size_t row_offset(std::size_t row) const { return row * ld; }
-  double at_offset(std::size_t row_off, std::size_t col) const {
-    return base[row_off + col];
-  }
+  std::size_t col_offset(std::size_t col) const { return col; }
 };
 
 struct GatherView {
   const double* base;
   const std::size_t* row_off;
   const std::size_t* col_off;
-  double at(std::size_t row, std::size_t col) const {
-    return base[row_off[row] + col_off[col]];
-  }
   std::size_t row_offset(std::size_t row) const { return row_off[row]; }
-  double at_offset(std::size_t roff, std::size_t col) const {
-    return base[roff + col_off[col]];
-  }
+  std::size_t col_offset(std::size_t col) const { return col_off[col]; }
 };
 
 // Packs the mc x kc panel of A starting at (i0, p0) into micro-tile order:
 // for each mr-row slab, kc columns of mr entries. Rows beyond mc are
-// zero-padded so the micro-kernel always sees a full slab.
+// zero-padded so the micro-kernel always sees a full slab. A slab whose
+// rows are consecutive in memory (a segmented axis of extent s gives runs
+// of s rows) copies mr contiguous entries per k step; otherwise each k
+// step gathers one entry per row.
 template <typename ViewA>
 void pack_a(const ViewA& a, std::size_t i0, std::size_t p0, std::size_t mc,
             std::size_t kc, double alpha, std::size_t mr_tile,
             std::vector<double>& out) {
-  out.assign(((mc + mr_tile - 1) / mr_tile) * mr_tile * kc, 0.0);
-  std::size_t slab = 0;
+  out.resize(((mc + mr_tile - 1) / mr_tile) * mr_tile * kc);
   for (std::size_t ir = 0; ir < mc; ir += mr_tile) {
     const std::size_t mr = std::min(mr_tile, mc - ir);
-    double* dst = out.data() + slab;
+    double* dst = out.data() + ir * kc;
+    const double* rows[kMaxMr];
+    bool consecutive = true;
     for (std::size_t i = 0; i < mr; ++i) {
-      const std::size_t roff = a.row_offset(i0 + ir + i);
+      rows[i] = a.base + a.row_offset(i0 + ir + i);
+      consecutive = consecutive && rows[i] == rows[0] + i;
+    }
+    if (consecutive) {
       for (std::size_t p = 0; p < kc; ++p) {
-        dst[p * mr_tile + i] = alpha * a.at_offset(roff, p0 + p);
+        const double* s = rows[0] + a.col_offset(p0 + p);
+        double* d = dst + p * mr_tile;
+        for (std::size_t i = 0; i < mr; ++i) d[i] = s[i];
+      }
+    } else {
+      for (std::size_t p = 0; p < kc; ++p) {
+        const std::size_t off = a.col_offset(p0 + p);
+        double* d = dst + p * mr_tile;
+        for (std::size_t i = 0; i < mr; ++i) d[i] = rows[i][off];
       }
     }
-    slab += mr_tile * kc;
+    if (mr < mr_tile) {
+      for (std::size_t p = 0; p < kc; ++p) {
+        std::fill(dst + p * mr_tile + mr, dst + (p + 1) * mr_tile, 0.0);
+      }
+    }
+  }
+  // Scaling the packed copy rounds alpha * a once, as scaling on load
+  // would; alpha == 1 (every block contraction) skips the pass.
+  if (alpha != 1.0) {
+    for (double& value : out) value *= alpha;
   }
 }
 
+// Positions [start, start + len) of an offset table whose offsets are
+// consecutive: they read base[off + q], a contiguous load.
+struct Run {
+  std::size_t start;
+  std::size_t len;
+  std::size_t off;
+};
+
+// Splits positions [0, count) of `offset` into maximal unit-stride runs,
+// written to `runs` (room for `count`); returns how many. A segmented
+// tensor axis of extent s gives runs of s along its unit-stride axis.
+template <typename OffsetFn>
+std::size_t unit_runs(std::size_t count, OffsetFn offset, Run* runs) {
+  std::size_t n = 0;
+  for (std::size_t q = 0; q < count; ++q) {
+    const std::size_t off = offset(q);
+    if (n > 0 && runs[n - 1].off + runs[n - 1].len == off) {
+      ++runs[n - 1].len;
+    } else {
+      runs[n++] = Run{q, 1, off};
+    }
+  }
+  return n;
+}
+
 // Packs the kc x nc panel of B starting at (p0, j0) into micro-tile order:
-// for each nr-column slab, kc rows of nr entries, zero-padded on the right.
+// for each nr-column slab, kc rows of nr entries, zero-padded on the
+// right. Each row copies the slab's columns run by run, or entry by entry
+// when no two of them are adjacent.
 template <typename ViewB>
 void pack_b(const ViewB& b, std::size_t p0, std::size_t j0, std::size_t kc,
             std::size_t nc, std::size_t nr_tile, std::vector<double>& out) {
-  out.assign(((nc + nr_tile - 1) / nr_tile) * nr_tile * kc, 0.0);
-  std::size_t slab = 0;
+  out.resize(((nc + nr_tile - 1) / nr_tile) * nr_tile * kc);
   for (std::size_t jr = 0; jr < nc; jr += nr_tile) {
     const std::size_t nr = std::min(nr_tile, nc - jr);
-    double* dst = out.data() + slab;
+    double* dst = out.data() + jr * kc;
+    Run runs[kMaxNr];
+    const std::size_t n_runs = unit_runs(
+        nr, [&](std::size_t j) { return b.col_offset(j0 + jr + j); }, runs);
     for (std::size_t p = 0; p < kc; ++p) {
-      const std::size_t roff = b.row_offset(p0 + p);
+      const double* src = b.base + b.row_offset(p0 + p);
       double* row = dst + p * nr_tile;
-      for (std::size_t j = 0; j < nr; ++j) {
-        row[j] = b.at_offset(roff, j0 + jr + j);
+      if (n_runs == nr) {
+        // No two columns adjacent (ccd's hole-hole ladder operand
+        // T(a,k,b,l)): gather entry by entry. The run loop below packs
+        // such a panel in about twice the time.
+        for (std::size_t j = 0; j < nr; ++j) row[j] = src[runs[j].off];
+      } else {
+        for (std::size_t r = 0; r < n_runs; ++r) {
+          const double* s = src + runs[r].off;
+          double* d = row + runs[r].start;
+          for (std::size_t q = 0; q < runs[r].len; ++q) d[q] = s[q];
+        }
       }
+      std::fill(row + nr, row + nr_tile, 0.0);
     }
-    slab += nr_tile * kc;
   }
 }
 
@@ -244,7 +353,9 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, double alpha,
 
   thread_local std::vector<double> a_pack;
   thread_local std::vector<double> b_pack;
-  double edge_tile[kMaxMr * kMaxNr];
+  // Lanes outside an edge tile's live corner only ever hold earlier
+  // corners plus zero products (packing pads with zeros).
+  double edge_tile[kMaxMr * kMaxNr] = {};
 
   for (std::size_t j0 = 0; j0 < n; j0 += kNc) {
     const std::size_t nc = std::min(kNc, n - j0);
@@ -256,23 +367,23 @@ void gemm_blocked(std::size_t m, std::size_t n, std::size_t k, double alpha,
         pack_a(a, i0, p0, mc, kc, alpha, mr_tile, a_pack);
         for (std::size_t jr = 0; jr < nc; jr += nr_tile) {
           const std::size_t nr = std::min(nr_tile, nc - jr);
-          const double* b_tile = b_pack.data() + (jr / nr_tile) * nr_tile * kc;
+          const double* b_tile = b_pack.data() + jr * kc;
           for (std::size_t ir = 0; ir < mc; ir += mr_tile) {
             const std::size_t mr = std::min(mr_tile, mc - ir);
-            const double* a_tile =
-                a_pack.data() + (ir / mr_tile) * mr_tile * kc;
+            const double* a_tile = a_pack.data() + ir * kc;
             double* c_tile = c + (i0 + ir) * ldc + j0 + jr;
             if (mr == mr_tile && nr == nr_tile) {
               kernel.fn(kc, a_tile, b_tile, c_tile, ldc);
             } else {
-              // Partial edge tile: run the kernel into a dense scratch
-              // tile and accumulate the live mr x nr corner into C.
-              std::memset(edge_tile, 0, sizeof(edge_tile));
+              // Partial edge tile: run the kernel on a dense scratch copy
+              // of C's live mr x nr corner and copy that corner back, so
+              // an edge element takes the same C += acc as a full tile's.
+              for (std::size_t i = 0; i < mr; ++i) {
+                std::copy_n(c_tile + i * ldc, nr, edge_tile + i * nr_tile);
+              }
               kernel.fn(kc, a_tile, b_tile, edge_tile, nr_tile);
               for (std::size_t i = 0; i < mr; ++i) {
-                double* c_row = c_tile + i * ldc;
-                const double* t_row = edge_tile + i * nr_tile;
-                for (std::size_t j = 0; j < nr; ++j) c_row[j] += t_row[j];
+                std::copy_n(edge_tile + i * nr_tile, nr, c_tile + i * ldc);
               }
             }
           }
@@ -294,7 +405,8 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, double alpha,
     double sum = 0.0;
     const std::size_t a_row = a.row_offset(0);
     for (std::size_t p = 0; p < k; ++p) {
-      sum += a.at_offset(a_row, p) * b.at(p, 0);
+      sum += a.base[a_row + a.col_offset(p)] *
+             b.base[b.row_offset(p) + b.col_offset(0)];
     }
     c[0] += alpha * sum;
     return;
@@ -305,10 +417,10 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k, double alpha,
       const std::size_t a_row = a.row_offset(i);
       double* c_row = c + i * ldc;
       for (std::size_t p = 0; p < k; ++p) {
-        const double aip = alpha * a.at_offset(a_row, p);
+        const double aip = alpha * a.base[a_row + a.col_offset(p)];
         const std::size_t b_row = b.row_offset(p);
         for (std::size_t j = 0; j < n; ++j) {
-          c_row[j] += aip * b.at_offset(b_row, j);
+          c_row[j] += aip * b.base[b_row + b.col_offset(j)];
         }
       }
     }
@@ -357,19 +469,14 @@ bool select_gemm_kernel(std::string_view name) {
     g_kernel.store(detect_kernel(), std::memory_order_release);
     return true;
   }
-  if (name == "portable") {
-    g_kernel.store(&kPortableKernel, std::memory_order_release);
-    return true;
-  }
-#if SIA_X86_KERNELS
-  if (name == "avx2") {
-    if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
-      return false;
+  for (const KernelInfo& kernel : kKernels) {
+    const std::string_view kernel_name = kernel.name;
+    if (name == kernel_name.substr(0, kernel_name.find('-'))) {
+      if (!kernel.supported()) return false;
+      g_kernel.store(&kernel, std::memory_order_release);
+      return true;
     }
-    g_kernel.store(&kAvx2Kernel, std::memory_order_release);
-    return true;
   }
-#endif
   return false;
 }
 

@@ -4,8 +4,20 @@
 // efficiently as possible on the given platform ... taking advantage of
 // high quality implementations of library routines such as DGEMM" (paper
 // §V-A). No vendor BLAS is available here, so this is our DGEMM: a cache-
-// blocked, register-tiled, row-major kernel with a runtime-dispatched
-// micro-kernel (AVX2/FMA 6x8 on capable x86, portable 4x8 otherwise).
+// blocked, register-tiled, row-major kernel with a micro-kernel chosen at
+// run time from CPUID: AVX-512F 8x24, else AVX2/FMA 6x8, else portable
+// 4x8. The two SIMD kernels give the same bits: each C element is
+// acc = fma(a_ip, b_pj, acc) over p from zero within one k panel (of a
+// size every kernel shares), then C += acc, an order that does not depend
+// on the tile shape. Partial edge tiles run on a scratch copy of C's live
+// corner, so they take the same C += acc. The portable kernel rounds
+// without FMA and agrees only to rounding.
+//
+// Packing reads each operand along its unit-stride runs: an A slab whose
+// rows are consecutive in memory copies a contiguous column per k step,
+// and a B slab copies each row's runs of adjacent columns (entry by entry
+// when no two are adjacent). Only padding is zero-filled, and alpha == 1
+// skips the scaling pass.
 //
 // Two entry points share the blocked driver:
 //   * dgemm        — plain strided row-major operands;
@@ -54,14 +66,16 @@ void dgemm_naive(std::size_t m, std::size_t n, std::size_t k, double alpha,
                  const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double beta, double* c, std::size_t ldc);
 
-// Name of the micro-kernel currently in use ("avx2-6x8", "portable-4x8").
-// The kernel is selected once, on first use, from runtime CPU features.
+// Name of the micro-kernel currently in use ("avx512-8x24", "avx2-6x8",
+// "portable-4x8"). The kernel is selected once, on first use, from runtime
+// CPU features.
 std::string_view gemm_kernel_name();
 
-// Forces a specific micro-kernel: "portable", "avx2", or "auto" (redo CPU
-// detection). Returns false (and leaves the selection unchanged) if the
-// requested kernel is not available on this build/CPU. Intended for tests
-// and benchmarks; not thread-safe against concurrent dgemm calls.
+// Forces a specific micro-kernel: "portable", "avx2", "avx512", or "auto"
+// (redo CPU detection). Returns false (and leaves the selection unchanged)
+// if the requested kernel is not available on this build/CPU, e.g.
+// "avx512" without avx512f. Intended for tests and benchmarks; not
+// thread-safe against concurrent dgemm calls.
 bool select_gemm_kernel(std::string_view name);
 
 }  // namespace sia::blas

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "sip/superinstr.hpp"
 
 namespace sia::sip {
 
@@ -187,7 +188,9 @@ void DataflowExecutor::worker_loop() {
     pool_cv_.wait(lock, [&] { return shutdown_ || !ready_.empty(); });
     if (shutdown_) return;
     ++pool_running_;
+    const std::uint64_t flops0 = contract_flops_on_this_thread();
     stats_.thread_busy_seconds += run_locked(lock, take_ready_locked());
+    pool_contract_flops_ += contract_flops_on_this_thread() - flops0;
     ++stats_.tasks_executed;
     --pool_running_;
   }
@@ -287,8 +290,10 @@ void DataflowExecutor::wait_progress(int timeout_ms) {
   progress_event_ = false;
 }
 
-void DataflowExecutor::record_drain(double wait_seconds) {
+void DataflowExecutor::record_drain(bool was_busy, double wait_seconds) {
   std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.drains_issued;
+  if (!was_busy) return;
   ++stats_.drains;
   stats_.drain_wait_seconds += wait_seconds;
 }

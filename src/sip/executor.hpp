@@ -164,9 +164,10 @@ class DataflowExecutor {
   // arrive. Safe to call repeatedly.
   void cancel();
 
-  // Accounting for interpreter-side drains (waiting the window empty at
-  // a boundary): bumps Stats::drains / drain_wait_seconds.
-  void record_drain(double wait_seconds);
+  // Accounting for interpreter-side drains at a boundary: bumps
+  // Stats::drains_issued, and when the window was busy (the interpreter
+  // waited it empty) drains / drain_wait_seconds too.
+  void record_drain(bool was_busy, double wait_seconds);
 
   // Bytecode position of the entry whose error pump() is currently
   // rethrowing (or whose retire action is running); -1 otherwise. Lets
@@ -174,6 +175,14 @@ class DataflowExecutor {
   int last_error_pc() const { return last_error_pc_; }
 
   const Stats& stats() const { return stats_; }
+
+  // Contraction flops the pool threads ran (contract_flops_on_this_thread
+  // deltas around each pool task). Helped and inline entries run on the
+  // interpreter thread, which counts its own.
+  std::uint64_t pool_contract_flops() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return pool_contract_flops_;
+  }
 
  private:
   enum class State {
@@ -231,6 +240,7 @@ class DataflowExecutor {
   bool cancelled_ = false;
   std::vector<std::thread> pool_;
   Stats stats_;
+  std::uint64_t pool_contract_flops_ = 0;
 };
 
 }  // namespace sia::sip

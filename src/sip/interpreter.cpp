@@ -764,7 +764,11 @@ void Interpreter::enqueue_entry(DataflowExecutor::Entry entry) {
 }
 
 void Interpreter::drain_window() {
-  if (!executor_ || executor_->idle()) return;
+  if (!executor_) return;
+  if (executor_->idle()) {
+    executor_->record_drain(/*was_busy=*/false, 0.0);
+    return;
+  }
   const double start = wall_seconds();
   const double helped0 = executor_->stats().help_seconds;
   while (true) {
@@ -777,8 +781,9 @@ void Interpreter::drain_window() {
     if (!executor_->help()) executor_->wait_progress(2);
   }
   // Helped entries are the executor's help_seconds, not drain wait.
-  executor_->record_drain(wall_seconds() - start -
-                          (executor_->stats().help_seconds - helped0));
+  executor_->record_drain(/*was_busy=*/true,
+                          wall_seconds() - start -
+                              (executor_->stats().help_seconds - helped0));
 }
 
 // ---------------------------------------------------------------------
@@ -1632,6 +1637,7 @@ void Interpreter::step() {
 
 void Interpreter::execute_program() {
   const double start = wall_seconds();
+  const std::uint64_t flops0 = contract_flops_on_this_thread();
   while (true) {
     shared_.check_abort();
     service_messages();
@@ -1654,6 +1660,7 @@ void Interpreter::execute_program() {
   }
   drain_window();
   profiler_.record_total(wall_seconds() - start);
+  contract_flops_ = contract_flops_on_this_thread() - flops0;
 
   // Nothing may stay write-combined past the end of the program.
   dist_->flush_coalesced();

@@ -51,6 +51,13 @@ class Interpreter {
   // Null when worker_threads resolves to 0: every op then runs at issue,
   // through the same binders and compute bodies, with no window entry.
   const DataflowExecutor* executor() const { return executor_.get(); }
+  // Flops of the unscreened block contractions this worker ran: its
+  // interpreter thread's (serial ops, helped and inline entries) plus its
+  // pool threads'.
+  std::uint64_t contract_flops() const {
+    return contract_flops_ +
+           (executor_ ? executor_->pool_contract_flops() : 0);
+  }
   // Null when the reliable protocol is off.
   const msg::ReliableChannel* channel() const { return channel_.get(); }
   const msg::PeerSequencer& sequencer() const { return sequencer_; }
@@ -276,6 +283,7 @@ class Interpreter {
   int my_rank_;
   const sial::ResolvedProgram& program_;
   Profiler profiler_;
+  std::uint64_t contract_flops_ = 0;  // interpreter thread's, set at the end
 
   std::unique_ptr<BlockPool> pool_;
   std::unique_ptr<DataManager> data_;

@@ -90,12 +90,26 @@ std::string ProfileReport::to_string() const {
         << executor.raw_deps << " RAW / " << executor.war_deps << " WAR / "
         << executor.waw_deps << " WAW edges), "
         << executor.operand_stalls << " operand; " << executor.drains
-        << " drains ("
+        << " drains of " << executor.drains_issued << " issued ("
         << TablePrinter::num(executor.drain_wait_seconds * 1e3, 2)
         << " ms waited), pool busy "
         << TablePrinter::num(executor.thread_busy_seconds * 1e3, 2)
         << " ms, " << executor.tasks_helped << " helped ("
         << TablePrinter::num(executor.help_seconds * 1e3, 2) << " ms)\n";
+  }
+  if (contract_flops > 0) {
+    // On the window engine the pool and the helping interpreter run every
+    // contraction, so flops over their time is the contraction rate (an
+    // underestimate by the share of other block ops in that time).
+    const double gflop = static_cast<double>(contract_flops) * 1e-9;
+    const double window_seconds =
+        executor.thread_busy_seconds + executor.help_seconds;
+    out << "contractions: " << TablePrinter::num(gflop, 2) << " GFLOP";
+    if (window_seconds > 0.0) {
+      out << ", " << TablePrinter::num(gflop / window_seconds, 1)
+          << " GFLOP/s of pool busy + helped time";
+    }
+    out << "\n";
   }
   if (screening.any()) {
     out << "screening: threshold " << screening.threshold << ", "

@@ -123,6 +123,8 @@ struct ProfileReport {
   double total_elapsed = 0.0;     // wall time of the slowest worker
   double total_wait = 0.0;        // summed over workers
   double total_busy = 0.0;        // summed instruction time over workers
+  // 2*m*n*k of every unscreened block contraction, summed over workers.
+  std::int64_t contract_flops = 0;
 
   // Wait-time breakdown by kind, summed over workers.
   double block_wait = 0.0;        // distributed get replies
@@ -210,6 +212,10 @@ struct ProfileReport {
     std::int64_t waw_deps = 0;
     std::int64_t operand_stalls = 0;  // parked on an in-flight fetch
     std::int64_t drains = 0;          // full-window drains at boundaries
+    // Boundaries that asked for a drain, idle window or not: fixed by the
+    // program and the chunk schedule, unlike `drains`, which counts only
+    // the ones that found entries in flight.
+    std::int64_t drains_issued = 0;
     std::int64_t window_peak = 0;     // max in-flight entries (over workers)
     std::int64_t occupancy_sum = 0;   // window size sampled at enqueue
     std::int64_t occupancy_samples = 0;

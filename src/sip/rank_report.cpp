@@ -102,8 +102,9 @@ template <class Io, class Report>
 void walk(Io& io, Report& r) {
   if (auto& w = r.worker) {
     io(w->dist, w->served, w->cache, w->pool_heap_fallbacks,
-       w->peak_local_doubles, w->channel, w->duplicates_dropped, w->totals,
-       w->executor, w->lines, w->pardos, w->home, w->scalars);
+       w->peak_local_doubles, w->channel, w->duplicates_dropped,
+       w->contract_flops, w->totals, w->executor, w->lines, w->pardos,
+       w->home, w->scalars);
   }
   if (auto& s = r.server) io(s->stats, s->presence);
   if (auto& p = r.process) {
@@ -164,6 +165,7 @@ RankReport collect(const Interpreter& worker) {
     w.channel = channel->stats();
   }
   w.duplicates_dropped = worker.sequencer().duplicates_dropped();
+  w.contract_flops = static_cast<std::int64_t>(worker.contract_flops());
   w.totals = worker.profiler().totals();
   if (const DataflowExecutor* executor = worker.executor()) {
     w.executor = executor->stats();
@@ -340,12 +342,14 @@ void aggregate(const std::vector<RankReport>& reports,
     executor.waw_deps += e.waw_deps;
     executor.operand_stalls += e.operand_stalls;
     executor.drains += e.drains;
+    executor.drains_issued += e.drains_issued;
     executor.window_peak = std::max(executor.window_peak, e.window_peak);
     executor.occupancy_sum += e.occupancy_sum;
     executor.occupancy_samples += e.occupancy_samples;
     executor.drain_wait_seconds += e.drain_wait_seconds;
     executor.thread_busy_seconds += e.thread_busy_seconds;
     executor.help_seconds += e.help_seconds;
+    profile.contract_flops += w->contract_flops;
 
     totals.gets_issued += w->dist.gets_issued;
     totals.gets_local += w->dist.gets_local;

@@ -60,6 +60,7 @@ struct RankReport {
     std::int64_t peak_local_doubles = 0;
     msg::ReliableChannel::Stats channel;
     std::int64_t duplicates_dropped = 0;  // by the worker's sequencer
+    std::int64_t contract_flops = 0;      // Interpreter::contract_flops
     Profiler::Totals totals;
     ProfileReport::Executor executor;  // zero with worker_threads = 0
     std::vector<LineRow> lines;

@@ -35,7 +35,11 @@ std::atomic<std::uint64_t> g_operand_permutes{0};
 // accumulates). Pool threads bump this concurrently.
 std::atomic<std::uint64_t> g_kernels_screened{0};
 
+thread_local std::uint64_t t_contract_flops = 0;
+
 }  // namespace
+
+std::uint64_t contract_flops_on_this_thread() { return t_contract_flops; }
 
 std::uint64_t contract_operand_permute_count() {
   return g_operand_permutes.load(std::memory_order_relaxed);
@@ -67,6 +71,7 @@ void block_contract(Block& dst, std::span<const int> dst_ids, const Block& a,
   // contraction repeats thousands of times and hits the cache.
   const blas::ContractionPlan& plan = blas::thread_plan_cache().get(
       dst_ids, a_ids, b_ids, a.shape().extents(), b.shape().extents());
+  t_contract_flops += 2 * plan.m * plan.n * plan.k;
 
   const double* a_ptr = a.data().data();
   const double* b_ptr = b.data().data();

@@ -62,6 +62,12 @@ double block_dot(const Block& a, std::span<const int> a_ids, const Block& b,
 // stays zero; tests assert on it to catch regressions.
 std::uint64_t contract_operand_permute_count();
 
+// Flops (2*m*n*k) of the unscreened block_contract calls the calling
+// thread has run. Thread-local, so counting costs a contraction no shared
+// cache line; each worker sums its own threads (see
+// Interpreter::contract_flops).
+std::uint64_t contract_flops_on_this_thread();
+
 // Number of block kernels (contractions, dots, permuted accumulates)
 // skipped by norm screening since process start.
 std::uint64_t kernels_screened_count();

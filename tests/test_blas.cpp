@@ -128,8 +128,28 @@ TEST(GemmKernelTest, SelectionRoundTrip) {
   EXPECT_FALSE(gemm_kernel_name().empty());
   EXPECT_TRUE(select_gemm_kernel("portable"));
   EXPECT_EQ(gemm_kernel_name(), "portable-4x8");
+
+  // A SIMD kernel is selectable exactly when the CPU has its features; a
+  // refusal leaves the selection unchanged.
+#if defined(__x86_64__) || defined(__i386__)
+  const bool has_avx512 = __builtin_cpu_supports("avx512f");
+  const bool has_avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  const bool has_avx512 = false;
+  const bool has_avx2 = false;
+#endif
+  EXPECT_EQ(select_gemm_kernel("avx512"), has_avx512);
+  EXPECT_EQ(gemm_kernel_name(), has_avx512 ? "avx512-8x24" : "portable-4x8");
+  EXPECT_TRUE(select_gemm_kernel("portable"));
+  EXPECT_EQ(select_gemm_kernel("avx2"), has_avx2);
+  EXPECT_EQ(gemm_kernel_name(), has_avx2 ? "avx2-6x8" : "portable-4x8");
+
   EXPECT_FALSE(select_gemm_kernel("no-such-kernel"));
   EXPECT_TRUE(select_gemm_kernel("auto"));
+  EXPECT_EQ(gemm_kernel_name(), has_avx512 ? "avx512-8x24"
+                                : has_avx2 ? "avx2-6x8"
+                                           : "portable-4x8");
 }
 
 // ---------------------------------------------------------------------

@@ -981,14 +981,22 @@ rnorm2 = 0.0
 collective rnorm2 += rlocal
 endsial
 )";
+  // 4^4 pardo iterations x 4^2 contractions of 2*4*4*4 flops each. The
+  // count is the same whichever thread ran a contraction.
+  constexpr std::int64_t kFlops = 256 * 16 * 128;
   config.worker_threads = 0;
-  const auto base = run_scalars(config, source);
-  ASSERT_GT(base.at("rnorm2"), 0.0);
+  Sip serial(config);
+  const RunResult base = serial.run_source(source);
+  ASSERT_GT(base.scalar("rnorm2"), 0.0);
+  EXPECT_EQ(base.profile.contract_flops, kFlops);
   for (const int threads : {1, 2}) {
     config.worker_threads = threads;
-    expect_bit_identical(base, run_scalars(config, source), {"rnorm2"},
-                         "help_shape worker_threads=" +
-                             std::to_string(threads));
+    Sip sip(config);
+    const RunResult got = sip.run_source(source);
+    const std::string what =
+        "help_shape worker_threads=" + std::to_string(threads);
+    expect_bit_identical(base.scalars, got.scalars, {"rnorm2"}, what);
+    EXPECT_EQ(got.profile.contract_flops, kFlops) << what;
   }
 }
 

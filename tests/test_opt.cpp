@@ -643,8 +643,11 @@ TEST(ExecutorStatsTest, WindowSafePardoSkipsPerIterationDrains) {
   EXPECT_NEAR(r2.scalar("cnorm2"), r0.scalar("cnorm2"),
               1e-10 * std::abs(r0.scalar("cnorm2")));
   // The proven-safe sweep defers its per-iteration drain to a retire
-  // entry: the drain count must drop sharply.
-  EXPECT_LT(r2.profile.executor.drains, r0.profile.executor.drains);
+  // entry: fewer boundaries ask for a drain. Counted whether or not the
+  // window was busy at the time, so the comparison does not depend on
+  // how far the pool had got.
+  EXPECT_LT(r2.profile.executor.drains_issued,
+            r0.profile.executor.drains_issued);
 }
 
 }  // namespace

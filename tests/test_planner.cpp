@@ -406,13 +406,17 @@ TEST(PlannerTest, AutotuneEnvOverridesConfigBothWays) {
 // ---------------------------------------------------------------------
 // Work stealing.
 
-// A deliberately skewed pardo: segments are [48, 1], so iteration (1,1)
-// carries a 48x48x48 contraction swept `reps` times while the other
-// three iterations are slivers. min_chunk with the fair-share clamp
-// hands worker 0 the two front (heavy-led) iterations in one chunk;
-// worker 1 races through its own chunk and must steal the tail of
-// worker 0's to balance. fill_coords writes integer elements and the
-// final checksum is computed by a sequential do loop every worker
+// A deliberately skewed pardo: segments are [96, 1], so iteration (1,1)
+// carries a 96x96x96 contraction swept `reps` times while the other
+// three iterations are slivers. The slivers still issue as many
+// instructions as the heavy iteration, so the heavy block must be large
+// enough that its flops, not instruction issue, set its time: at
+// [48, 1] the AVX-512 GEMM kernel often finished (1,1) before worker 1
+// had drained its own chunk, and no steal happened. min_chunk with the
+// fair-share clamp hands worker 0 the two front (heavy-led) iterations
+// in one chunk; worker 1 races through its own chunk and must steal the
+// tail of worker 0's to balance. fill_coords writes integer elements and
+// the final checksum is computed by a sequential do loop every worker
 // executes in the same order, so the result is bitwise independent of
 // which worker ran which iteration.
 std::string skew_source() {
@@ -460,12 +464,12 @@ SipConfig skew_config(bool work_stealing) {
   SipConfig config;
   config.workers = 2;
   config.io_servers = 0;
-  config.default_segment = 48;
+  config.default_segment = 96;
   config.segment_overrides["index"] = 1;  // `do r` sweeps reps times
   config.chunk_divisor = 1;
   config.min_chunk = 4;  // clamped to the fair share: 2 per worker
   config.work_stealing = work_stealing;
-  config.constants = {{"n", 49}, {"reps", 400}};
+  config.constants = {{"n", 97}, {"reps", 400}};
   return config;
 }
 

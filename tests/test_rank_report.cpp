@@ -81,6 +81,7 @@ RankReport full_worker() {
   fill(w.peak_local_doubles, seed);
   fill(w.channel, seed);
   fill(w.duplicates_dropped, seed);
+  fill(w.contract_flops, seed);
   fill(w.totals, seed);
   fill(w.executor, seed);
   const std::int64_t last_pc =
@@ -138,6 +139,9 @@ TEST(RankReportTest, RoundTripKeepsEveryCounter) {
                 report.worker->executor.tasks_helped);
       EXPECT_EQ(decoded.worker->executor.help_seconds,
                 report.worker->executor.help_seconds);
+      EXPECT_NE(report.worker->contract_flops, 0);
+      EXPECT_EQ(decoded.worker->contract_flops,
+                report.worker->contract_flops);
     }
   }
   // A section is present or absent on both sides of the wire.
@@ -266,6 +270,7 @@ TEST(RankReportTest, AggregateSumsPoolAndHelpedWork) {
     w.executor.tasks_helped = rank;
     w.executor.help_seconds = 0.25 * rank;
     w.executor.thread_busy_seconds = 0.5 * rank;
+    w.contract_flops = std::int64_t{1'500'000'000} * rank;
   }
   RunResult result;
   aggregate(reports, Master::Stats{}, program(), result);
@@ -274,9 +279,13 @@ TEST(RankReportTest, AggregateSumsPoolAndHelpedWork) {
   EXPECT_EQ(e.tasks_helped, 3);
   EXPECT_EQ(e.help_seconds, 0.75);
   EXPECT_EQ(e.thread_busy_seconds, 1.5);
-  EXPECT_NE(result.profile.to_string().find("3 helped (750.00 ms)"),
+  EXPECT_EQ(result.profile.contract_flops, 4'500'000'000);
+  const std::string text = result.profile.to_string();
+  EXPECT_NE(text.find("3 helped (750.00 ms)"), std::string::npos) << text;
+  // 4.5 GFLOP over 1.5 s pool busy + 0.75 s helped.
+  EXPECT_NE(text.find("contractions: 4.50 GFLOP, 2.0 GFLOP/s"),
             std::string::npos)
-      << result.profile.to_string();
+      << text;
 }
 
 }  // namespace

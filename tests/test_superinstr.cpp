@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <span>
 #include <tuple>
@@ -369,21 +371,60 @@ TEST(ContractPropertyTest, MatchesNaiveReferenceAcrossRandomCases) {
 }
 
 TEST(ContractPropertyTest, PortableAndSimdKernelsAgree) {
-  Block a = random_block({9, 7, 5}, 71);
-  Block b = random_block({5, 9, 6}, 72);
-  const std::vector<int> a_ids = {0, 1, 2};
-  const std::vector<int> b_ids = {2, 0, 3};
-  const std::vector<int> dst_ids = {3, 1};
+  // Shapes that reach the blocked GEMM driver (m*n*k far above the
+  // small-problem cutoff). The SIMD kernels must match each other bit for
+  // bit; the portable kernel rounds without FMA and agrees to 1e-12.
+  struct Case {
+    std::vector<int> dst_ids, dst_ext;
+    std::vector<int> a_ids, a_ext;
+    std::vector<int> b_ids, b_ext;
+  };
+  const std::vector<int> seg16 = {16, 16, 16, 16};
+  const std::vector<Case> cases = {
+      // m = 77, n = 35, k = 300: two mc blocks, ragged m and n edge tiles
+      // for every tile shape, two kc panels; identity then permuted
+      // destination.
+      {{0, 2, 4, 5}, {11, 7, 5, 7}, {0, 1, 2, 3}, {11, 15, 7, 20},
+       {3, 4, 1, 5}, {20, 5, 15, 7}},
+      {{4, 0, 5, 2}, {5, 11, 7, 7}, {0, 1, 2, 3}, {11, 15, 7, 20},
+       {3, 4, 1, 5}, {20, 5, 15, 7}},
+      // ccd's particle-particle ladder, hole-hole ladder and ring at
+      // segment 16 (ids a=0 i=1 b=2 j=3 c=4 d=5 k=6 l=7).
+      {{0, 1, 2, 3}, seg16, {0, 4, 2, 5}, seg16, {4, 1, 5, 3}, seg16},
+      {{0, 1, 2, 3}, seg16, {6, 1, 7, 3}, seg16, {0, 6, 2, 7}, seg16},
+      {{0, 1, 2, 3}, seg16, {6, 0, 4, 1}, seg16, {4, 6, 2, 3}, seg16},
+  };
 
-  ASSERT_TRUE(blas::select_gemm_kernel("portable"));
-  Block c_portable(BlockShape(std::vector<int>{6, 7}));
-  block_contract(c_portable, dst_ids, a, a_ids, b, b_ids, false);
-
-  if (blas::select_gemm_kernel("avx2")) {
-    Block c_simd(BlockShape(std::vector<int>{6, 7}));
-    block_contract(c_simd, dst_ids, a, a_ids, b, b_ids, false);
-    for (std::size_t i = 0; i < c_simd.size(); ++i) {
-      EXPECT_NEAR(c_simd.data()[i], c_portable.data()[i], 1e-12);
+  std::uint64_t seed = 80;
+  for (const Case& c : cases) {
+    const Block a = random_block(c.a_ext, ++seed);
+    const Block b = random_block(c.b_ext, ++seed);
+    const std::uint64_t c_seed = ++seed;
+    for (const bool accumulate : {false, true}) {
+      const auto contract = [&] {
+        Block dst = random_block(c.dst_ext, c_seed);
+        block_contract(dst, c.dst_ids, a, c.a_ids, b, c.b_ids, accumulate);
+        return dst;
+      };
+      ASSERT_TRUE(blas::select_gemm_kernel("portable"));
+      const Block portable = contract();
+      std::optional<std::vector<double>> oracle;
+      for (const char* simd : {"avx2", "avx512"}) {
+        if (!blas::select_gemm_kernel(simd)) continue;
+        const Block got = contract();
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_NEAR(got.data()[i], portable.data()[i], 1e-12)
+              << simd << " element " << i;
+        }
+        if (!oracle) {
+          oracle.emplace(got.data().begin(), got.data().end());
+        } else {
+          EXPECT_EQ(std::memcmp(got.data().data(), oracle->data(),
+                                got.size() * sizeof(double)),
+                    0)
+              << simd << " differs from avx2, accumulate=" << accumulate;
+        }
+      }
     }
   }
   ASSERT_TRUE(blas::select_gemm_kernel("auto"));
